@@ -10,14 +10,19 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .corpus import class_counts, load_corpus, load_labeled_set
+from .corpus import (
+    STRICTNESS_MODES,
+    class_counts,
+    load_corpus,
+    load_labeled_set,
+    write_text_atomic,
+)
 from .errors import ModelFileError, ParseError, TimelineError, TrainingDataError
 from .keywords import DEFAULT_PHRASES, default_keywords, filter_corpus, load_keywords
 from .svm import (
@@ -122,49 +127,32 @@ def parse_config_file(path: Path) -> dict[str, object]:
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
+    """Defaults, then the config file, then flags. Each flag's dest is its
+    config key, and argparse converts it with the same CONFIG_KEYS converter
+    the config file uses."""
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         for field, value in parse_config_file(Path(args.config)).items():
             setattr(cfg, field, value)
-    overrides = {
-        "input": "input_path",
-        "keywords": "keywords_path",
-        "labeled": "labeled_path",
-        "model": "model_path",
-        "timeline": "timeline_path",
-        "output": "output_dir",
-        "seed": "seed",
-        "c_param": "C",
-        "tolerance": "tolerance",
-        "max_epochs": "max_epochs",
-        "daily_start": "daily_start",
-        "daily_end": "daily_end",
-        "final_cutoff": "final_cutoff",
-    }
-    for arg_name, field in overrides.items():
-        value = getattr(args, arg_name, None)
+    for key, (field, _) in CONFIG_KEYS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            if field.endswith(("_path", "_dir")):
-                value = Path(value)
             setattr(cfg, field, value)
-    if getattr(args, "strict", None):
-        cfg.strictness = "strict"
-    if cfg.strictness not in ("strict", "lenient"):
+    if cfg.strictness not in STRICTNESS_MODES:
         raise ValueError(f"strictness must be strict or lenient, got {cfg.strictness!r}")
     return cfg
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _open_records(path: Path):
+    """Open a record file for line-by-line parsing; undecodable bytes reach
+    the parser as lone surrogates, which it rejects per line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def _load_corpus_file(path: Path | None, strictness: str, role: str):
     if path is None:
         raise FileNotFoundError(f"no {role} file configured")
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_records(path) as fh:
         return load_corpus(fh, strictness)
 
 
@@ -204,7 +192,7 @@ def run_filter(cfg: PipelineConfig) -> dict:
     keywords = _load_keyword_set(cfg.keywords_path)
     filtered = filter_corpus(corpus, keywords)
     out_path = cfg.output_dir / FILTERED_NAME
-    _write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in filtered))
+    write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in filtered))
     kept, dropped = len(filtered), len(corpus) - len(filtered)
     log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
              len(corpus), corpus.rejected_count, kept, dropped, out_path)
@@ -222,7 +210,7 @@ def run_train(cfg: PipelineConfig) -> dict:
         raise FileNotFoundError("no labeled training file configured")
     if cfg.model_path is None:
         raise FileNotFoundError("no model output path configured")
-    with open(cfg.labeled_path, "r", encoding="utf-8") as fh:
+    with _open_records(cfg.labeled_path) as fh:
         examples = load_labeled_set(fh)
     negative, positive = class_counts(examples)
     train_config = TrainingConfig(
@@ -257,7 +245,7 @@ def run_classify(cfg: PipelineConfig, input_path: Path | None = None) -> dict:
         if predict(model, vectorize(model.vectorizer, record.text)) == 1
     )
     out_path = cfg.output_dir / RELEVANT_NAME
-    _write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
+    write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
     log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
              len(corpus), len(relevant), len(corpus) - len(relevant), out_path)
     return {
@@ -290,7 +278,8 @@ def run_report(cfg: PipelineConfig, input_path: Path | None = None) -> dict:
         tweets = bounded
 
     report = bucket_counts(timeline, tweets)
-    _write_text_atomic(cfg.output_dir / PERIOD_CSV_NAME, format_period_report(report))
+    period_table = format_period_report(report)
+    write_text_atomic(cfg.output_dir / PERIOD_CSV_NAME, period_table)
 
     tweet_days = [t.timestamp.date() for t in tweets]
     start = cfg.daily_start or (min(tweet_days) if tweet_days else None)
@@ -300,9 +289,9 @@ def run_report(cfg: PipelineConfig, input_path: Path | None = None) -> dict:
         series = []
     else:
         series = daily_frequency(tweets, start, end)
-    _write_text_atomic(cfg.output_dir / DAILY_CSV_NAME, format_daily_counts(series))
+    write_text_atomic(cfg.output_dir / DAILY_CSV_NAME, format_daily_counts(series))
 
-    sys.stdout.write(format_period_report(report))
+    sys.stdout.write(period_table)
     log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
              "%d daily rows", len(tweets), len(report.rows), excluded, len(series))
     return {
@@ -340,12 +329,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "config_hash": config_hash(cfg),
         "stages": stages,
     }
-    _write_text_atomic(
+    write_text_atomic(
         cfg.output_dir / MANIFEST_NAME,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
     log.info("pipeline complete; manifest -> %s", cfg.output_dir / MANIFEST_NAME)
     return manifest
+
+
+def _add_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """A flag that sets config key ``key``, converted as in a config file."""
+    parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key][1], **kwargs)
+
+
+def _add_strict_flag(parser: argparse.ArgumentParser, **kwargs) -> None:
+    parser.add_argument("--strict", action="store_const", const="strict",
+                        dest="strictness", **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,56 +358,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--output", help="output directory (default: current directory)")
+    _add_flag(common, "--output", "output", help="output directory (default: current directory)")
     common.add_argument("--quiet", action="store_true", default=None,
                         help="suppress informational messages")
 
     p = sub.add_parser("filter", parents=[common],
                        help="keep only records matching a keyword phrase")
-    p.add_argument("--input", help="raw record file (one JSON object per line)")
-    p.add_argument("--keywords", help="phrase file, one per line (default: builtin set)")
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="abort on the first malformed line")
+    _add_flag(p, "--input", "input", help="raw record file (one JSON object per line)")
+    _add_flag(p, "--keywords", "keywords", help="phrase file, one per line (default: builtin set)")
+    _add_strict_flag(p, help="abort on the first malformed line")
 
     p = sub.add_parser("train", parents=[common],
                        help="fit the tf-idf vocabulary and train the relevance SVM")
-    p.add_argument("--labeled", help="labeled training file (label -1 or 1 per record)")
-    p.add_argument("--model", help="where to write the model file")
-    p.add_argument("--seed", type=int, help="shuffling seed (default 42)")
-    p.add_argument("--c-param", type=float, dest="c_param",
-                   help="soft-margin penalty C (default 1.0)")
-    p.add_argument("--tolerance", type=float, help="stopping tolerance (default 1e-4)")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs",
-                   help="epoch cap (default 1000)")
+    _add_flag(p, "--labeled", "labeled", help="labeled training file (label -1 or 1 per record)")
+    _add_flag(p, "--model", "model", help="where to write the model file")
+    _add_flag(p, "--seed", "seed", help="shuffling seed (default 42)")
+    _add_flag(p, "--c-param", "c", help="soft-margin penalty C (default 1.0)")
+    _add_flag(p, "--tolerance", "tolerance", help="stopping tolerance (default 1e-4)")
+    _add_flag(p, "--max-epochs", "max_epochs", help="epoch cap (default 1000)")
 
     p = sub.add_parser("classify", parents=[common],
                        help="keep only records the model predicts relevant")
-    p.add_argument("--input", help="record file to classify")
-    p.add_argument("--model", help="trained model file")
-    p.add_argument("--strict", action="store_true", default=None)
+    _add_flag(p, "--input", "input", help="record file to classify")
+    _add_flag(p, "--model", "model", help="trained model file")
+    _add_strict_flag(p)
 
     p = sub.add_parser("report", parents=[common],
                        help="bucket classified records into announcement periods")
-    p.add_argument("--input", help="classified record file")
-    p.add_argument("--timeline", help="timeline CSV (default: builtin CDC timeline)")
-    p.add_argument("--daily-start", type=date.fromisoformat, dest="daily_start",
-                   help="first day of the daily-frequency table (YYYY-MM-DD)")
-    p.add_argument("--daily-end", type=date.fromisoformat, dest="daily_end",
-                   help="last day of the daily-frequency table (YYYY-MM-DD)")
-    p.add_argument("--final-cutoff", type=date.fromisoformat, dest="final_cutoff",
-                   help="last day counted in the final open-ended period")
-    p.add_argument("--strict", action="store_true", default=None)
+    _add_flag(p, "--input", "input", help="classified record file")
+    _add_flag(p, "--timeline", "timeline", help="timeline CSV (default: builtin CDC timeline)")
+    _add_flag(p, "--daily-start", "daily_start",
+              help="first day of the daily-frequency table (YYYY-MM-DD)")
+    _add_flag(p, "--daily-end", "daily_end",
+              help="last day of the daily-frequency table (YYYY-MM-DD)")
+    _add_flag(p, "--final-cutoff", "final_cutoff",
+              help="last day counted in the final open-ended period")
+    _add_strict_flag(p)
 
     p = sub.add_parser("pipeline", parents=[common],
                        help="filter, classify with an existing model, then report")
-    p.add_argument("--input", help="raw record file")
-    p.add_argument("--keywords", help="phrase file (default: builtin set)")
-    p.add_argument("--model", help="trained model file (train separately first)")
-    p.add_argument("--timeline", help="timeline CSV (default: builtin CDC timeline)")
-    p.add_argument("--daily-start", type=date.fromisoformat, dest="daily_start")
-    p.add_argument("--daily-end", type=date.fromisoformat, dest="daily_end")
-    p.add_argument("--final-cutoff", type=date.fromisoformat, dest="final_cutoff")
-    p.add_argument("--strict", action="store_true", default=None)
+    _add_flag(p, "--input", "input", help="raw record file")
+    _add_flag(p, "--keywords", "keywords", help="phrase file (default: builtin set)")
+    _add_flag(p, "--model", "model", help="trained model file (train separately first)")
+    _add_flag(p, "--timeline", "timeline", help="timeline CSV (default: builtin CDC timeline)")
+    _add_flag(p, "--daily-start", "daily_start")
+    _add_flag(p, "--daily-end", "daily_end")
+    _add_flag(p, "--final-cutoff", "final_cutoff")
+    _add_strict_flag(p)
 
     p = sub.add_parser("timeline", help="inspect the builtin timeline")
     p.add_argument("--print-builtin", action="store_true", dest="print_builtin",

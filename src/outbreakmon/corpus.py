@@ -4,14 +4,21 @@ Input is UTF-8 text, one record per line. Each line is a JSON object with
 exactly the fields ``id`` (string), ``timestamp`` (ISO-8601 UTC with a ``Z``
 suffix, second precision) and ``text`` (string); training files additionally
 carry ``label`` (integer -1 or +1). Unknown fields are ignored in lenient
-mode and rejected in strict mode.
+mode and rejected in strict mode. A line that is not valid UTF-8, or whose
+id or text holds a lone surrogate, is malformed like any other bad line.
+
+Also home to ``write_text_atomic``, the one writer behind every output file.
 """
 from __future__ import annotations
 
 import json
 import logging
+import os
+import re
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, TrainingDataError
@@ -19,6 +26,9 @@ from .errors import ParseError, TrainingDataError
 log = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+# The exact shape of TIMESTAMP_FORMAT in ASCII digits; strptime alone also
+# takes non-padded fields and non-ASCII digits.
+_TIMESTAMP_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
 STRICTNESS_MODES = ("strict", "lenient")
@@ -83,33 +93,45 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     Day-level bucketing downstream depends on unambiguous instants, so any
     other date shape is an error rather than a guess.
     """
+    if isinstance(raw, str) and _TIMESTAMP_SHAPE.fullmatch(raw):
+        try:
+            return datetime.strptime(raw, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+        except ValueError:
+            pass  # right shape, impossible date such as 2015-02-30
+    raise ParseError(
+        f"timestamp {raw!r} is not in {TIMESTAMP_FORMAT.replace('%', '')} "
+        "form (expected e.g. 2015-09-04T12:00:00Z)",
+        line_no,
+    )
+
+
+def _is_unicode(value: str) -> bool:
+    """False if ``value`` holds a lone surrogate, which no UTF-8 can encode:
+    an undecodable input byte (read with ``errors="surrogateescape"``) or a
+    JSON ``\\ud83d``-style escape without its pair."""
+    if value.isascii():
+        return True
     try:
-        parsed = datetime.strptime(raw, TIMESTAMP_FORMAT)
-    except (ValueError, TypeError):
-        raise ParseError(
-            f"timestamp {raw!r} is not in {TIMESTAMP_FORMAT.replace('%', '')} "
-            "form (expected e.g. 2015-09-04T12:00:00Z)",
-            line_no,
-        ) from None
-    return parsed.replace(tzinfo=timezone.utc)
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
-def parse_tweet_line(
-    line: str, *, line_no: int | None = None, strict: bool = False
-) -> TweetRecord:
-    """Parse one input line into a validated TweetRecord.
-
-    Raises ParseError (carrying ``line_no`` when given) for malformed JSON,
-    missing or mistyped fields, unparseable timestamps, and text that is
-    empty after trimming. ``strict`` additionally rejects unknown fields.
-    """
+def _decode_line(line: str, line_no: int | None) -> dict:
+    """The JSON object of one input line."""
+    if not _is_unicode(line):
+        raise ParseError("invalid UTF-8", line_no)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
     if not isinstance(obj, dict):
         raise ParseError("record is not an object", line_no)
+    return obj
 
+
+def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRecord:
     if strict:
         unknown = sorted(set(obj) - KNOWN_FIELDS)
         if unknown:
@@ -128,8 +150,24 @@ def parse_tweet_line(
     text = obj["text"]
     if not text.strip():
         raise ParseError("empty text", line_no)
+    for field in ("id", "text"):
+        if not _is_unicode(obj[field]):
+            raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
 
     return TweetRecord(id=record_id, timestamp=timestamp, text=text)
+
+
+def parse_tweet_line(
+    line: str, *, line_no: int | None = None, strict: bool = False
+) -> TweetRecord:
+    """Parse one input line into a validated TweetRecord.
+
+    Raises ParseError (carrying ``line_no`` when given) for invalid UTF-8,
+    malformed JSON, missing or mistyped fields, unparseable timestamps, text
+    that is empty after trimming, and an id or text holding a lone
+    surrogate. ``strict`` additionally rejects unknown fields.
+    """
+    return _record_from_object(_decode_line(line, line_no), line_no, strict)
 
 
 def parse_label(obj_label: object, line_no: int | None = None) -> int:
@@ -182,8 +220,8 @@ def load_labeled_set(lines: Iterable[str]) -> list[LabeledExample]:
     examples: list[LabeledExample] = []
     seen_ids: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
-        record = parse_tweet_line(line, line_no=line_no, strict=False)
-        obj = json.loads(line)  # cannot fail: parse_tweet_line already parsed it
+        obj = _decode_line(line, line_no)
+        record = _record_from_object(obj, line_no, strict=False)
         if "label" not in obj:
             raise ParseError("missing field 'label'", line_no)
         label = parse_label(obj["label"], line_no)
@@ -200,3 +238,32 @@ def class_counts(examples: Sequence[LabeledExample]) -> tuple[int, int]:
     """Return (negative, positive) example counts."""
     positive = sum(1 for ex in examples if ex.label == 1)
     return len(examples) - positive, positive
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) so readers see the old file or
+    the new one, never a part.
+
+    The text goes to a fresh temporary file in the same directory, which is
+    fsynced and then renamed over ``path``; on any error the temporary file
+    is removed and ``path`` is left as it was. The new file gets the mode a
+    plain ``open`` would give it under the current umask.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise

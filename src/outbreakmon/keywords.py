@@ -7,7 +7,7 @@ record (logical OR over the set).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus import Corpus
@@ -32,13 +32,19 @@ class KeywordSet:
     """A non-empty collection of non-empty keyword phrases."""
 
     phrases: tuple[str, ...]
+    # each phrase normalized and wrapped in single spaces, for matches()
+    padded: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
             raise ValueError("keyword set needs at least one phrase")
+        padded = []
         for phrase in self.phrases:
-            if not normalize_text(phrase):
+            normalized = normalize_text(phrase)
+            if not normalized:
                 raise ValueError(f"phrase {phrase!r} is empty after normalization")
+            padded.append(f" {normalized} ")
+        object.__setattr__(self, "padded", tuple(padded))
 
     def __len__(self) -> int:
         return len(self.phrases)
@@ -60,24 +66,15 @@ def normalize_text(text: str) -> str:
     return " ".join(cleaned.split())
 
 
-def _phrase_tokens(keywords: KeywordSet) -> list[tuple[str, ...]]:
-    return [tuple(normalize_text(p).split()) for p in keywords.phrases]
-
-
-def _contains_window(tokens: list[str], phrase: tuple[str, ...]) -> bool:
-    width = len(phrase)
-    first = phrase[0]
-    for i in range(len(tokens) - width + 1):
-        if tokens[i] == first and tuple(tokens[i:i + width]) == phrase:
-            return True
-    return False
-
-
 def matches(keywords: KeywordSet, text: str) -> bool:
     """True iff the normalized text contains some phrase as a contiguous,
-    word-aligned token run."""
-    tokens = normalize_text(text).split()
-    return any(_contains_window(tokens, phrase) for phrase in _phrase_tokens(keywords))
+    word-aligned token run.
+
+    Normalized text is tokens joined by single spaces, so with a space on
+    each side a token run is exactly a substring.
+    """
+    padded = f" {normalize_text(text)} "
+    return any(phrase in padded for phrase in keywords.padded)
 
 
 def filter_corpus(corpus: Corpus, keywords: KeywordSet) -> Corpus:
@@ -86,12 +83,7 @@ def filter_corpus(corpus: Corpus, keywords: KeywordSet) -> Corpus:
     Logs kept/dropped counts; the result carries over the source corpus's
     rejected-line count since no re-parse happens here.
     """
-    phrases = _phrase_tokens(keywords)
-    kept = tuple(
-        record
-        for record in corpus.records
-        if any(_contains_window(normalize_text(record.text).split(), p) for p in phrases)
-    )
+    kept = tuple(record for record in corpus.records if matches(keywords, record.text))
     log.info("keyword filter kept %d of %d records (dropped %d)",
              len(kept), len(corpus.records), len(corpus.records) - len(kept))
     return Corpus(records=kept, rejected_count=corpus.rejected_count)

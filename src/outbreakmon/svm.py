@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import LabeledExample
+from .corpus import LabeledExample, write_text_atomic
 from .errors import ModelFileError, TrainingDataError
 from .vectorizer import (
     SparseVector,
@@ -245,7 +244,7 @@ def save_model(model: SvmModel, destination: str | Path) -> None:
     """Write the model as a versioned, human-inspectable JSON text file.
 
     Floats are serialized with shortest round-trip repr, so loading restores
-    every numeric field bit-exactly; writes are atomic (write then rename).
+    every numeric field bit-exactly; the write is atomic (``write_text_atomic``).
     """
     if model.vectorizer is None:
         raise ValueError("cannot save a model without an embedded vectorizer")
@@ -267,12 +266,8 @@ def save_model(model: SvmModel, destination: str | Path) -> None:
             "final_objective": model.training_meta.final_objective,
         },
     }
-    destination = Path(destination)
-    destination.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, ensure_ascii=False, allow_nan=False, indent=1)
-    tmp = destination.with_name(destination.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    os.replace(tmp, destination)
+    write_text_atomic(destination, text + "\n")
 
 
 def load_model(source: str | Path) -> SvmModel:

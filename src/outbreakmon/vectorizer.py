@@ -139,15 +139,12 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
     if not counts:
         return SparseVector()
     vocab = model.vocabulary
-    max_f = max(counts.values())
     entries = []
-    for token, occurrences in counts.items():
+    for token in counts:
         index = vocab.terms.get(token)
         if index is None:
             continue
-        tf = 0.5 + 0.5 * occurrences / max_f
-        idf = math.log(vocab.corpus_size / vocab.doc_frequency[token])
-        value = tf * idf
+        value = term_frequency(counts, token) * inverse_document_frequency(vocab, token)
         if value != 0.0:
             entries.append((index, value))
     entries.sort()

@@ -1,7 +1,22 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
-from datetime import datetime, timezone
+import os
+from datetime import date, datetime, timezone
+from pathlib import Path
 
-from outbreakmon.cli import DAILY_CSV_NAME, EXIT_IO, EXIT_OK, EXIT_PARSE, main
+import pytest
+
+from outbreakmon.cli import (
+    CONFIG_KEYS,
+    DAILY_CSV_NAME,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    FILTERED_NAME,
+    PipelineConfig,
+    _build_parser,
+    build_config,
+    main,
+)
 
 from synthdata import record_line
 
@@ -61,3 +76,117 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def _lines_file(path, *lines):
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return path
+
+
+def _good_line(record_id):
+    return record_line(record_id, datetime(2015, 9, 5, tzinfo=timezone.utc),
+                       f"salmonella {record_id}").encode("utf-8")
+
+
+BAD_UNICODE_LINES = {
+    "undecodable-byte":
+        b'{"id":"bad","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \xff"}',
+    "escaped-lone-surrogate":
+        b'{"id":"bad","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \\ud83d"}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_UNICODE_LINES))
+def test_invalid_unicode_line_is_rejected_in_lenient_mode(tmp_path, capsys, kind):
+    stream = _lines_file(tmp_path / "s.jsonl",
+                         _good_line("a"), BAD_UNICODE_LINES[kind], _good_line("c"))
+    out = tmp_path / "o"
+    code = main(["filter", "--input", str(stream), "--output", str(out), "--quiet"])
+    assert code == EXIT_OK
+    kept = (out / FILTERED_NAME).read_bytes()
+    assert kept == _good_line("a") + b"\n" + _good_line("c") + b"\n"
+    assert sorted(p.name for p in out.iterdir()) == [FILTERED_NAME]
+    rejections = [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
+    assert len(rejections) == 1 and "line 2" in rejections[0]
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_UNICODE_LINES))
+def test_invalid_unicode_line_fails_strict_mode_with_its_line(tmp_path, capsys, kind):
+    stream = _lines_file(tmp_path / "s.jsonl",
+                         _good_line("a"), BAD_UNICODE_LINES[kind], _good_line("c"))
+    out = tmp_path / "o"
+    code = main(["filter", "--input", str(stream), "--output", str(out), "--strict"])
+    assert code == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invalid_utf8_in_labeled_file_exits_3(tmp_path):
+    labeled = _lines_file(tmp_path / "l.jsonl", BAD_UNICODE_LINES["undecodable-byte"])
+    code = main(["train", "--labeled", str(labeled), "--model", str(tmp_path / "m.json"),
+                 "--quiet"])
+    assert code == EXIT_PARSE
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError("injected failure")
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_failed_output_write_keeps_the_old_file(tmp_path, monkeypatch, step):
+    out = tmp_path / "o"
+    first = _lines_file(tmp_path / "first.jsonl", _good_line("a"))
+    assert main(["filter", "--input", str(first), "--output", str(out), "--quiet"]) == EXIT_OK
+    before = (out / FILTERED_NAME).read_bytes()
+
+    second = _lines_file(tmp_path / "second.jsonl", _good_line("b"), _good_line("c"))
+    monkeypatch.setattr(os, step, _raise_oserror)
+    code = main(["filter", "--input", str(second), "--output", str(out), "--quiet"])
+    monkeypatch.undo()
+    assert code == EXIT_IO
+    assert (out / FILTERED_NAME).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == [FILTERED_NAME]
+
+
+# config key -> (subcommand, flag arguments, file value, other file value, parsed value)
+FLAG_CASES = {
+    "input": ("filter", ["--input", "a.jsonl"], "a.jsonl", "z.jsonl", Path("a.jsonl")),
+    "keywords": ("filter", ["--keywords", "k.txt"], "k.txt", "z.txt", Path("k.txt")),
+    "labeled": ("train", ["--labeled", "l.jsonl"], "l.jsonl", "z.jsonl", Path("l.jsonl")),
+    "model": ("train", ["--model", "m.json"], "m.json", "z.json", Path("m.json")),
+    "timeline": ("report", ["--timeline", "t.csv"], "t.csv", "z.csv", Path("t.csv")),
+    "output": ("filter", ["--output", "out"], "out", "z", Path("out")),
+    "strictness": ("filter", ["--strict"], "strict", "lenient", "strict"),
+    "c": ("train", ["--c-param", "2.5"], "2.5", "0.5", 2.5),
+    "tolerance": ("train", ["--tolerance", "0.01"], "0.01", "0.5", 0.01),
+    "max_epochs": ("train", ["--max-epochs", "7"], "7", "9", 7),
+    "seed": ("train", ["--seed", "7"], "7", "9", 7),
+    "daily_start": ("report", ["--daily-start", "2015-09-01"], "2015-09-01", "2015-01-01",
+                    date(2015, 9, 1)),
+    "daily_end": ("report", ["--daily-end", "2015-10-20"], "2015-10-20", "2015-01-01",
+                  date(2015, 10, 20)),
+    "final_cutoff": ("pipeline", ["--final-cutoff", "2016-03-31"], "2016-03-31",
+                     "2015-01-01", date(2016, 3, 31)),
+}
+
+
+def test_every_config_key_has_a_flag_case():
+    assert set(FLAG_CASES) == set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(FLAG_CASES))
+def test_config_file_and_flag_set_the_same_field_and_the_flag_wins(tmp_path, key):
+    command, flag_args, value, other, parsed = FLAG_CASES[key]
+    field = CONFIG_KEYS[key][0]
+
+    def config(file_value, *argv):
+        path = tmp_path / "run.conf"
+        path.write_text(f"{key} = {file_value}\n", encoding="utf-8")
+        args = _build_parser().parse_args([command, "--config", str(path), *argv])
+        return getattr(build_config(args), field)
+
+    assert getattr(PipelineConfig(), field) != parsed
+    assert config(value) == parsed
+    assert getattr(build_config(_build_parser().parse_args([command, *flag_args])),
+                   field) == parsed
+    assert config(other, *flag_args) == parsed

@@ -1,3 +1,4 @@
+import os
 from datetime import datetime, timezone
 
 import pytest
@@ -11,18 +12,21 @@ from outbreakmon.corpus import (
     format_timestamp,
     load_corpus,
     load_labeled_set,
+    parse_timestamp,
     parse_tweet_line,
+    write_text_atomic,
 )
 from outbreakmon.errors import ParseError, TrainingDataError
 
 GOOD_LINE = '{"id":"t1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella cucumber recall"}'
 
 
-def make_line(record_id="t1", timestamp="2015-09-04T12:00:00Z", text="hello world", **extra):
+def make_line(record_id="t1", timestamp="2015-09-04T12:00:00Z", text="hello world",
+              ensure_ascii=True, **extra):
     import json
 
     obj = {"id": record_id, "timestamp": timestamp, "text": text, **extra}
-    return json.dumps(obj)
+    return json.dumps(obj, ensure_ascii=ensure_ascii)
 
 
 class TestParseTweetLine:
@@ -64,6 +68,36 @@ class TestParseTweetLine:
 
     def test_label_is_a_known_field_in_strict_mode(self):
         assert parse_tweet_line(make_line(label=1), strict=True).id == "t1"
+
+    @pytest.mark.parametrize("timestamp", [
+        "2015-9-4T1:2:3Z",
+        "\uff12\uff10\uff11\uff15-09-04T12:00:00Z",
+        "2015-09-04t12:00:00z",
+        "2015-02-30T12:00:00Z",
+    ], ids=["non-padded", "full-width-digits", "lower-case-separators", "impossible-date"])
+    def test_only_the_documented_timestamp_shape(self, timestamp):
+        with pytest.raises(ParseError, match="timestamp"):
+            parse_tweet_line(make_line(timestamp=timestamp))
+        with pytest.raises(ParseError, match="timestamp"):
+            parse_timestamp(timestamp)
+
+    def test_undecodable_byte_rejected(self):
+        # what a file read with errors="surrogateescape" yields for byte 0xff
+        line = make_line(text="salmonella \udcff", ensure_ascii=False)
+        with pytest.raises(ParseError, match="line 3.*invalid UTF-8"):
+            parse_tweet_line(line, line_no=3)
+
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_escaped_lone_surrogate_rejected(self, field):
+        line = make_line(**{field: "salmonella \ud83d"})
+        assert "\\ud83d" in line  # JSON escape, so the line itself is ASCII
+        with pytest.raises(ParseError, match="lone surrogate"):
+            parse_tweet_line(line)
+
+    def test_escaped_surrogate_pair_accepted(self):
+        line = make_line(text="salmonella \U0001f952")
+        assert "\\ud83e\\udd52" in line
+        assert parse_tweet_line(line).text == "salmonella \U0001f952"
 
 
 class TestLoadCorpus:
@@ -109,6 +143,18 @@ class TestLoadCorpus:
     def test_deterministic(self):
         lines = [make_line(record_id=f"t{i}", text=f"text {i}") for i in range(20)]
         assert load_corpus(lines) == load_corpus(lines)
+
+    @pytest.mark.parametrize("bad", [
+        make_line(record_id="bad", text="\udcff", ensure_ascii=False),
+        make_line(record_id="bad", text="\ud83d"),
+    ], ids=["undecodable-byte", "escaped-lone-surrogate"])
+    def test_invalid_unicode_is_one_rejected_line(self, bad):
+        lines = [make_line(record_id="t0"), bad, make_line(record_id="t2")]
+        corpus = load_corpus(lines, "lenient")
+        assert [r.id for r in corpus] == ["t0", "t2"]
+        assert corpus.rejected_count == 1
+        with pytest.raises(ParseError, match="line 2"):
+            load_corpus(lines, "strict")
 
 
 class TestLoadLabeledSet:
@@ -172,3 +218,16 @@ def test_corpus_iteration_matches_records():
     corpus = Corpus(records=records)
     assert list(corpus) == list(records)
     assert len(corpus) == 4
+
+
+def test_write_text_atomic_replaces_with_umask_mode_and_no_leftover(tmp_path):
+    path = tmp_path / "new" / "out.txt"
+    old_umask = os.umask(0o027)
+    try:
+        write_text_atomic(path, "first\n")
+        write_text_atomic(path, "second \u00e9\n")
+    finally:
+        os.umask(old_umask)
+    assert path.read_bytes() == "second \u00e9\n".encode("utf-8")
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]

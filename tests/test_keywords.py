@@ -156,6 +156,27 @@ def test_matches_invariant_under_case_and_padding(text, pad_left, pad_right):
     assert matches(keywords, pad_left + text + pad_right) == base
 
 
+# Phrase words and their near misses, glued to arbitrary Unicode so that hits,
+# word-boundary misses and exotic separators all occur.
+_PHRASE_WORDS = ["Salmonella", "salmonellosis", "POONA", "tainted", "contaminated",
+                 "Cucumbers", "andrew", "&", "Williamson", "fresh", "produce", "fat",
+                 "boy", "Brand", "mexican", " ", "!"]
+_texts = st.lists(st.one_of(st.text(), st.sampled_from(_PHRASE_WORDS)), max_size=12).map("".join)
+_keyword_sets = st.one_of(
+    st.just(default_keywords()),
+    st.lists(_texts.filter(lambda p: normalize_text(p)), min_size=1, max_size=4).map(
+        lambda phrases: KeywordSet(phrases=tuple(phrases))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keywords=_keyword_sets, texts=st.lists(_texts, max_size=8))
+def test_filter_keeps_exactly_the_window_oracle_matches(keywords, texts):
+    corpus = Corpus(tuple(record(i, text) for i, text in enumerate(texts)))
+    expected = tuple(r for r in corpus.records if brute_phrase_match(keywords.phrases, r.text))
+    assert filter_corpus(corpus, keywords).records == expected
+
+
 class TestKeywordFiles:
     def test_load_with_comments_and_blanks(self):
         lines = ["# watch list", "", "Salmonella", "  Fat Boy Brand  ", "# end"]

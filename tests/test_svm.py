@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -283,6 +284,30 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match="token rules"):
             load_model(path)
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_save_keeps_the_old_file(self, trained, tmp_path, monkeypatch, step):
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        before = path.read_bytes()
+        if step == "write":
+            # a lone surrogate cannot be encoded, so the write itself raises
+            vocab = Vocabulary(terms={"\ud83d": 0}, doc_frequency={"\ud83d": 1}, corpus_size=1)
+            model = SvmModel(weights=np.asarray([1.0]), bias=0.0,
+                             vectorizer=TfIdfModel(vocabulary=vocab),
+                             training_meta=trained.training_meta)
+            with pytest.raises(UnicodeEncodeError):
+                save_model(model, path)
+        else:
+            def fail(*args, **kwargs):
+                raise OSError("injected failure")
+
+            monkeypatch.setattr(os, "replace", fail)
+            with pytest.raises(OSError, match="injected"):
+                save_model(trained, path)
+            monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_save_without_vectorizer_rejected(self, tmp_path):
         with pytest.raises(ValueError):
