@@ -144,8 +144,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _open_records(path: Path):
-    """Open a record file for line-by-line parsing; undecodable bytes reach
-    the parser as lone surrogates, which it rejects per line."""
+    """Open a record or keyword file for line-by-line parsing; undecodable
+    bytes reach the parser as lone surrogates, which it rejects per line."""
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
@@ -159,7 +159,7 @@ def _load_corpus_file(path: Path | None, strictness: str, role: str):
 def _load_keyword_set(path: Path | None):
     if path is None:
         return default_keywords()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_records(path) as fh:
         return load_keywords(fh)
 
 

@@ -26,9 +26,9 @@ from .errors import ParseError, TrainingDataError
 log = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-# The exact shape of TIMESTAMP_FORMAT in ASCII digits; strptime alone also
-# takes non-padded fields and non-ASCII digits.
-_TIMESTAMP_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# The exact shape of TIMESTAMP_FORMAT in ASCII digits, one group per field.
+_TIMESTAMP_SHAPE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
 STRICTNESS_MODES = ("strict", "lenient")
@@ -84,7 +84,9 @@ def format_timestamp(instant: datetime) -> str:
     """Render a UTC instant in the canonical second-precision input format."""
     if instant.tzinfo is not None:
         instant = instant.astimezone(timezone.utc)
-    return instant.strftime(TIMESTAMP_FORMAT)
+    # strftime("%Y") drops the zero padding of years below 1000 on glibc
+    return (f"{instant.year:04d}-{instant.month:02d}-{instant.day:02d}"
+            f"T{instant.hour:02d}:{instant.minute:02d}:{instant.second:02d}Z")
 
 
 def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
@@ -93,9 +95,9 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     Day-level bucketing downstream depends on unambiguous instants, so any
     other date shape is an error rather than a guess.
     """
-    if isinstance(raw, str) and _TIMESTAMP_SHAPE.fullmatch(raw):
+    if isinstance(raw, str) and (fields := _TIMESTAMP_SHAPE.fullmatch(raw)):
         try:
-            return datetime.strptime(raw, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+            return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
         except ValueError:
             pass  # right shape, impossible date such as 2015-02-30
     raise ParseError(

@@ -7,10 +7,11 @@ record (logical OR over the set).
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus import Corpus
+from .corpus import Corpus, _is_unicode
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -25,6 +26,10 @@ DEFAULT_PHRASES = (
     "Fat Boy Brand",
     "Mexican Cucumbers",
 )
+
+# A maximal run of alphanumerics and ``&``: ``\w`` is exactly
+# ``str.isalnum()`` plus ``_``, and normalize_text removes ``_`` first.
+_WORD_RUN = re.compile(r"[\w&]+")
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,7 @@ def normalize_text(text: str) -> str:
     ``&`` survives so brand names written with an ampersand can match
     verbatim.
     """
-    lowered = text.lower()
-    cleaned = "".join(ch if ch.isalnum() or ch == "&" else " " for ch in lowered)
-    return " ".join(cleaned.split())
+    return " ".join(_WORD_RUN.findall(text.lower().replace("_", " ")))
 
 
 def matches(keywords: KeywordSet, text: str) -> bool:
@@ -91,9 +94,12 @@ def filter_corpus(corpus: Corpus, keywords: KeywordSet) -> Corpus:
 
 def load_keywords(lines: Iterable[str]) -> KeywordSet:
     """Read a keyword file: one phrase per line, ``#`` comments and blank
-    lines ignored."""
+    lines ignored. A line holding an undecodable byte (read with
+    ``errors="surrogateescape"``) is a ParseError at that line."""
     phrases: list[str] = []
     for line_no, raw in enumerate(lines, start=1):
+        if not _is_unicode(raw):
+            raise ParseError("invalid UTF-8", line_no)
         phrase = raw.strip()
         if not phrase or phrase.startswith("#"):
             continue

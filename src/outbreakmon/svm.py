@@ -272,7 +272,10 @@ def save_model(model: SvmModel, destination: str | Path) -> None:
 
 def load_model(source: str | Path) -> SvmModel:
     """Read a model file back; raises ModelFileError on any inconsistency."""
-    raw = Path(source).read_text(encoding="utf-8")
+    try:
+        raw = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"model file is not valid UTF-8 (byte {exc.start})") from None
     try:
         payload = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import TrainingDataError
@@ -40,6 +40,14 @@ class Vocabulary:
     terms: dict[str, int]  # term -> dense index, first-seen order
     doc_frequency: dict[str, int]  # term -> number of training docs containing it
     corpus_size: int
+    # term -> (dense index, idf), built once for vectorize()
+    index_idf: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index_idf", {
+            term: (index, inverse_document_frequency(self, term))
+            for term, index in self.terms.items()
+        })
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -100,17 +108,20 @@ def build_vocabulary(training_docs: Iterable[Sequence[str]]) -> Vocabulary:
     return Vocabulary(terms=terms, doc_frequency=doc_frequency, corpus_size=corpus_size)
 
 
-def term_frequency(counts: Mapping[str, int], term: str) -> float:
+def term_frequency(counts: Mapping[str, int], term: str, max_f: int | None = None) -> float:
     """Double-normalized within-tweet frequency: ``0.5 + 0.5 * f / max_f``.
 
-    The maximum runs over every term of the tweet, and the term must itself
-    occur in the tweet; absent terms contribute no vector entry and must not
-    be routed here.
+    The maximum runs over every term of the tweet; a caller asking for
+    several terms of one tweet passes it in as ``max_f``. The term must
+    itself occur in the tweet; absent terms contribute no vector entry and
+    must not be routed here.
     """
     occurrences = counts.get(term, 0)
     if occurrences < 1:
         raise ValueError(f"term {term!r} does not occur in the tweet")
-    return 0.5 + 0.5 * occurrences / max(counts.values())
+    if max_f is None:
+        max_f = max(counts.values())
+    return 0.5 + 0.5 * occurrences / max_f
 
 
 def inverse_document_frequency(vocab: Vocabulary, term: str) -> float:
@@ -138,13 +149,15 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
     counts = Counter(tokenize(text))
     if not counts:
         return SparseVector()
-    vocab = model.vocabulary
+    index_idf = model.vocabulary.index_idf
+    max_f = max(counts.values())
     entries = []
     for token in counts:
-        index = vocab.terms.get(token)
-        if index is None:
+        known = index_idf.get(token)
+        if known is None:
             continue
-        value = term_frequency(counts, token) * inverse_document_frequency(vocab, token)
+        index, idf = known
+        value = term_frequency(counts, token, max_f) * idf
         if value != 0.0:
             entries.append((index, value))
     entries.sort()

@@ -180,6 +180,15 @@ class TestClassify:
                      "--output", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_MODEL
 
+    def test_model_file_with_undecodable_byte_exits_5(self, tmp_path, model_file,
+                                                      stream_file, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(model_file.read_bytes() + b"\xff")
+        code = main(["classify", "--input", str(stream_file), "--model", str(broken),
+                     "--output", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_MODEL
+        assert "not valid UTF-8" in capsys.readouterr().err
+
 
 class TestReport:
     def _classified_file(self, tmp_path, count=50):
@@ -252,6 +261,25 @@ class TestPipeline:
         assert stages["filter"]["kept"] == stages["classify"]["input_records"]
         assert stages["classify"]["relevant"] == stages["report"]["input_records"]
         assert stages["report"]["period_total"] == stages["report"]["input_records"]
+
+    @pytest.mark.parametrize("strictness", [[], ["--strict"]])
+    def test_year_below_1000_keeps_every_stage_count(self, tmp_path, model_file, strictness):
+        # each stage re-parses the file the previous stage wrote, so a year
+        # written back without its zero padding would be dropped or abort
+        lines = [json.dumps({"id": f"y{i}", "timestamp": f"0999-01-0{i + 1}T12:00:00Z",
+                             "text": RELEVANT_TEMPLATES[i]}) for i in range(3)]
+        stream = write_lines(tmp_path / "old.jsonl", lines)
+        out = tmp_path / "out"
+        code = main(["pipeline", "--input", str(stream), "--model", str(model_file),
+                     "--output", str(out), "--quiet", *strictness])
+        assert code == EXIT_OK
+        stages = json.loads((out / MANIFEST_NAME).read_text())["stages"]
+        assert [stages[name]["input_records"] for name in ("filter", "classify", "report")] \
+            == [3, 3, 3]
+        assert stages["report"]["period_total"] == 3
+        assert [stages[name]["rejected_lines"] for name in ("filter", "classify", "report")] \
+            == [0, 0, 0]
+        assert '"timestamp":"0999-01-01T12:00:00Z"' in (out / RELEVANT_NAME).read_text()
 
     def test_missing_model_exits_2_before_any_work(self, tmp_path, stream_file):
         out = tmp_path / "out"

@@ -55,6 +55,16 @@ def test_bad_keyword_file_exits_3(tmp_path, capsys):
     assert "no phrases" in capsys.readouterr().err
 
 
+def test_keyword_file_with_undecodable_byte_exits_3_with_its_line(tmp_path, capsys):
+    stream = _one_record_file(tmp_path)
+    keywords = tmp_path / "kw.txt"
+    keywords.write_bytes(b"salmonella\n\xffcucumbers\n")
+    code = main(["filter", "--input", str(stream), "--keywords", str(keywords),
+                 "--output", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_PARSE
+    assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+
 def test_model_written_into_new_directory(tmp_path):
     labeled = tmp_path / "labeled.jsonl"
     lines = [

@@ -2,10 +2,11 @@ import os
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from outbreakmon.corpus import (
+    TIMESTAMP_FORMAT,
     Corpus,
     TweetRecord,
     class_counts,
@@ -209,6 +210,40 @@ def test_round_trip_line_format(record_id, instant, text):
 def test_format_timestamp_is_canonical():
     instant = datetime(2015, 9, 4, 0, 0, 0, tzinfo=timezone.utc)
     assert format_timestamp(instant) == "2015-09-04T00:00:00Z"
+
+
+@settings(max_examples=300, deadline=None)
+@given(instant=st.datetimes(min_value=datetime(1, 1, 1)).map(
+    lambda d: d.replace(microsecond=0, tzinfo=timezone.utc)))
+@example(instant=datetime(999, 1, 1, tzinfo=timezone.utc))
+@example(instant=datetime(1, 1, 1, tzinfo=timezone.utc))
+def test_timestamp_round_trip_over_every_year(instant):
+    assert parse_timestamp(format_timestamp(instant)) == instant
+
+
+_YEARS = st.one_of(st.integers(0, 9999), st.sampled_from([0, 1, 999, 1900, 2000, 2015, 2016]))
+
+
+# Fields of the fixed shape drawn a little past their ranges: month 00/13,
+# Feb 29 in leap and common years, hour 24 and second 60 all occur.
+@settings(max_examples=1000, deadline=None)
+@given(year=_YEARS, month=st.integers(0, 13), day=st.integers(0, 32),
+       hour=st.integers(0, 25), minute=st.integers(0, 61), second=st.integers(0, 61))
+@example(year=2016, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=2015, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=1900, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=2015, month=9, day=4, hour=24, minute=0, second=0)
+@example(year=2015, month=12, day=31, hour=23, minute=59, second=60)
+def test_parse_timestamp_agrees_with_strptime(year, month, day, hour, minute, second):
+    raw = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+    try:
+        expected = datetime.strptime(raw, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+    except ValueError:
+        with pytest.raises(ParseError):
+            parse_timestamp(raw)
+    else:
+        parsed = parse_timestamp(raw)
+        assert (parsed, parsed.tzinfo) == (expected, expected.tzinfo)
 
 
 def test_corpus_iteration_matches_records():

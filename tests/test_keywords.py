@@ -17,7 +17,7 @@ from outbreakmon.keywords import (
     normalize_text,
 )
 
-from oracles import brute_phrase_match
+from oracles import brute_normalize, brute_phrase_match
 
 
 def record(i, text):
@@ -175,6 +175,12 @@ def test_filter_keeps_exactly_the_window_oracle_matches(keywords, texts):
     corpus = Corpus(tuple(record(i, text) for i, text in enumerate(texts)))
     expected = tuple(r for r in corpus.records if brute_phrase_match(keywords.phrases, r.text))
     assert filter_corpus(corpus, keywords).records == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.text(), _texts, st.text(alphabet="_&- \t\u00a0\u2028Aa1\u0130")))
+def test_normalize_text_agrees_with_brute_oracle(text):
+    assert normalize_text(text) == brute_normalize(text)
 
 
 class TestKeywordFiles:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from outbreakmon.errors import TrainingDataError
@@ -157,6 +157,20 @@ class TestVectorize:
             assert set(got) == {index_of[t] for t in want}
             for term, value in want.items():
                 assert got[index_of[term]] == pytest.approx(value, rel=1e-12)
+
+    # Tokens of two or three letters pass tokenize() unchanged; a small
+    # alphabet makes repeats, shared terms and terms in every document common.
+    @settings(max_examples=300, deadline=None)
+    @given(docs=st.lists(st.lists(st.text(alphabet="abc", min_size=2, max_size=3),
+                                  max_size=10), min_size=1, max_size=8))
+    def test_bit_equal_to_formula_oracle_on_random_token_documents(self, docs):
+        assume(any(docs))
+        texts = [" ".join(doc) for doc in docs]
+        model = fit_tfidf(texts)
+        index_of = model.vocabulary.terms
+        for text, want in zip(texts, tfidf_by_hand(docs)):
+            expected = tuple(sorted((index_of[term], value) for term, value in want.items()))
+            assert vectorize(model, text).entries == expected
 
     def test_entries_sorted_and_nonzero(self):
         model = fit_tfidf(["dd cc bb aa", "aa ee"])
