@@ -144,8 +144,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _open_records(path: Path):
-    """Open a record or keyword file for line-by-line parsing; undecodable
-    bytes reach the parser as lone surrogates, which it rejects per line."""
+    """Open a record, keyword or timeline file for line-by-line parsing;
+    undecodable bytes reach the parser as lone surrogates, which it rejects
+    naming the line or row."""
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
@@ -166,7 +167,7 @@ def _load_keyword_set(path: Path | None):
 def _load_timeline(path: Path | None):
     if path is None:
         return builtin_cdc_timeline()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_records(path) as fh:
         return parse_timeline_file(fh)
 
 

@@ -18,6 +18,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -26,9 +27,8 @@ from .errors import ParseError, TrainingDataError
 log = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-# The exact shape of TIMESTAMP_FORMAT in ASCII digits, one group per field.
-_TIMESTAMP_SHAPE = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+# The exact shape of TIMESTAMP_FORMAT in ASCII digits.
+_TIMESTAMP_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
 STRICTNESS_MODES = ("strict", "lenient")
@@ -45,17 +45,13 @@ class TweetRecord:
     def to_line(self) -> str:
         """Serialize back to the one-record-per-line input format.
 
-        Re-parsing the returned line yields an equal record.
+        Re-parsing the returned line yields an equal record. The line is
+        ``json.dumps`` of the three fields with ``ensure_ascii=False`` and
+        compact separators, built from the string encoder that call uses.
         """
-        return json.dumps(
-            {
-                "id": self.id,
-                "timestamp": format_timestamp(self.timestamp),
-                "text": self.text,
-            },
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
+        return ('{"id":' + encode_basestring(self.id)
+                + ',"timestamp":"' + format_timestamp(self.timestamp)
+                + '","text":' + encode_basestring(self.text) + "}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class Corpus:
 
 def format_timestamp(instant: datetime) -> str:
     """Render a UTC instant in the canonical second-precision input format."""
-    if instant.tzinfo is not None:
+    if instant.tzinfo is not None and instant.tzinfo is not timezone.utc:
         instant = instant.astimezone(timezone.utc)
     # strftime("%Y") drops the zero padding of years below 1000 on glibc
     return (f"{instant.year:04d}-{instant.month:02d}-{instant.day:02d}"
@@ -95,9 +91,10 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     Day-level bucketing downstream depends on unambiguous instants, so any
     other date shape is an error rather than a guess.
     """
-    if isinstance(raw, str) and (fields := _TIMESTAMP_SHAPE.fullmatch(raw)):
+    if isinstance(raw, str) and _TIMESTAMP_SHAPE.fullmatch(raw):
         try:
-            return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
+            # "+00:00", not "Z": Python 3.10's fromisoformat rejects "Z"
+            return datetime.fromisoformat(raw[:-1] + "+00:00")
         except ValueError:
             pass  # right shape, impossible date such as 2015-02-30
     raise ParseError(
@@ -139,17 +136,17 @@ def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRe
         if unknown:
             raise ParseError(f"unknown fields: {', '.join(unknown)}", line_no)
 
-    for field in ("id", "timestamp", "text"):
-        if field not in obj:
-            raise ParseError(f"missing field {field!r}", line_no)
-        if not isinstance(obj[field], str):
-            raise ParseError(f"field {field!r} must be a string", line_no)
+    record_id, raw_timestamp, text = obj.get("id"), obj.get("timestamp"), obj.get("text")
+    if not (type(record_id) is type(raw_timestamp) is type(text) is str):
+        for field in ("id", "timestamp", "text"):
+            if field not in obj:
+                raise ParseError(f"missing field {field!r}", line_no)
+            if not isinstance(obj[field], str):
+                raise ParseError(f"field {field!r} must be a string", line_no)
 
-    record_id = obj["id"]
     if not record_id.strip():
         raise ParseError("empty id", line_no)
-    timestamp = parse_timestamp(obj["timestamp"], line_no)
-    text = obj["text"]
+    timestamp = parse_timestamp(raw_timestamp, line_no)
     if not text.strip():
         raise ParseError("empty text", line_no)
     for field in ("id", "text"):

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .corpus import LabeledExample, write_text_atomic
 from .errors import ModelFileError, TrainingDataError
 from .vectorizer import (
@@ -66,15 +64,20 @@ class TrainingMeta:
 
 @dataclass(frozen=True, eq=False)
 class SvmModel:
-    """Decision boundary (weights, bias) plus the vectorizer that feeds it."""
+    """Decision boundary (weights, bias) plus the vectorizer that feeds it.
 
-    weights: np.ndarray  # length equals vocabulary size when vectorizer is set
+    ``weights`` accepts any sequence of numbers (an ndarray included) and is
+    stored as a tuple of Python floats, so scoring needs no numpy.
+    """
+
+    weights: tuple[float, ...]  # length equals vocabulary size when vectorizer is set
     bias: float
     vectorizer: TfIdfModel | None
     training_meta: TrainingMeta
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.weights)) or not math.isfinite(self.bias):
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        if not all(map(math.isfinite, self.weights)) or not math.isfinite(self.bias):
             raise ValueError("model weights and bias must be finite")
         if self.vectorizer is not None and len(self.weights) != len(self.vectorizer.vocabulary):
             raise ValueError(
@@ -87,6 +90,8 @@ def objective(
     weights: Sequence[float], bias: float, examples: Sequence[tuple[SparseVector, int]], C: float
 ) -> float:
     """Primal objective with the bias inside the regularized norm."""
+    import numpy as np  # only training needs numpy; scoring never imports it
+
     w = np.asarray(weights, dtype=float)
     total = 0.5 * (float(w @ w) + bias * bias)
     hinge = 0.0
@@ -114,6 +119,8 @@ def train(
     ``trace_hook(epoch, dual_variables, objective)`` is called after each
     epoch with a snapshot, for diagnostics and tests.
     """
+    import numpy as np  # the seeded permutation; scoring never imports numpy
+
     examples = list(examples)
     if not examples:
         raise TrainingDataError("no training examples")
@@ -189,7 +196,7 @@ def train(
 
     meta = TrainingMeta(C=C, epochs_run=epochs_run, final_objective=best_objective)
     return SvmModel(
-        weights=np.asarray(best_w[:dim], dtype=float),
+        weights=best_w[:dim],
         bias=best_w[dim],
         vectorizer=vectorizer,
         training_meta=meta,
@@ -206,13 +213,14 @@ def train_from_labeled(
 
 
 def decision_value(model: SvmModel, vector: SparseVector) -> float:
-    """Signed distance proxy ``w . v + b`` (sparse dot product)."""
+    """Signed distance proxy ``w . v + b``: the products summed left to right
+    in sorted index order (``SparseVector.dot``), then the bias added."""
     if vector.entries and vector.entries[-1][0] >= len(model.weights):
         raise IndexError(
             f"vector index {vector.entries[-1][0]} out of range for "
             f"{len(model.weights)} weights"
         )
-    return float(vector.dot(model.weights) + model.bias)
+    return vector.dot(model.weights) + model.bias
 
 
 def predict(model: SvmModel, vector: SparseVector) -> int:
@@ -258,7 +266,7 @@ def save_model(model: SvmModel, destination: str | Path) -> None:
             "corpus_size": vocab.corpus_size,
             "terms": [[term, vocab.doc_frequency[term]] for term in index_to_term],
         },
-        "weights": [float(x) for x in model.weights],
+        "weights": list(model.weights),
         "bias": float(model.bias),
         "training_meta": {
             "C": model.training_meta.C,
@@ -340,7 +348,7 @@ def load_model(source: str | Path) -> SvmModel:
 
     vocabulary = Vocabulary(terms=terms, doc_frequency=doc_frequency, corpus_size=corpus_size)
     return SvmModel(
-        weights=np.asarray(weights, dtype=float),
+        weights=weights,
         bias=float(bias),
         vectorizer=TfIdfModel(vocabulary=vocabulary, token_rules=token_rules),
         training_meta=meta,

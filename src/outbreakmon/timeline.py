@@ -13,9 +13,9 @@ import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import TweetRecord
+from .corpus import TweetRecord, _is_unicode
 from .errors import TimelineError
 
 ILLNESS_ONSET = "illness_onset"
@@ -239,11 +239,12 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
 
     Columns: date (YYYY-MM-DD), kind, new_ill, cumulative_ill, states
     (integers or empty), note (free text). Raises TimelineError on any
-    malformed row.
+    malformed row, including one holding an undecodable byte (read with
+    ``errors="surrogateescape"``) or a lone surrogate.
     """
-    reader = csv.reader(lines)
+    rows = _unicode_rows(lines)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise TimelineError("timeline file is empty") from None
     if tuple(h.strip() for h in header) != TIMELINE_HEADER:
@@ -251,7 +252,7 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
             f"timeline header must be {','.join(TIMELINE_HEADER)}, got {','.join(header)}"
         )
     events = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(TIMELINE_HEADER):
@@ -276,6 +277,14 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
     if not events:
         raise TimelineError("timeline file has no events")
     return EventTimeline(events=tuple(events))
+
+
+def _unicode_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """CSV rows numbered from 1; a row that no UTF-8 can encode is an error."""
+    for row_no, row in enumerate(csv.reader(lines), start=1):
+        if not all(map(_is_unicode, row)):
+            raise TimelineError(f"row {row_no}: invalid UTF-8")
+        yield row_no, row
 
 
 def format_timeline(timeline: EventTimeline) -> str:

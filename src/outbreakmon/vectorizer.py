@@ -68,8 +68,22 @@ class SparseVector:
                 raise ValueError("zero values must not be stored")
             prev = index
 
+    @classmethod
+    def _unchecked(cls, entries: tuple[tuple[int, float], ...]) -> SparseVector:
+        """A vector from entries already sorted and zero-free (``vectorize``
+        builds them so); skips the checks of the public constructor."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "entries", entries)
+        return vector
+
     def dot(self, dense: Sequence[float]) -> float:
-        return sum(dense[index] * value for index, value in self.entries)
+        """The products summed left to right in index order. An explicit loop,
+        not ``sum``: Python 3.12's ``sum`` compensates float rounding, which
+        would change the last bits of a decision value."""
+        total = 0.0
+        for index, value in self.entries:
+            total += dense[index] * value
+        return total
 
     def squared_norm(self) -> float:
         return sum(value * value for _, value in self.entries)
@@ -161,4 +175,4 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
         if value != 0.0:
             entries.append((index, value))
     entries.sort()
-    return SparseVector(entries=tuple(entries))
+    return SparseVector._unchecked(tuple(entries))

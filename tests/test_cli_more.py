@@ -1,16 +1,20 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
 import os
+import subprocess
+import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
 
+import outbreakmon
 from outbreakmon.cli import (
     CONFIG_KEYS,
     DAILY_CSV_NAME,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TIMELINE,
     FILTERED_NAME,
     PipelineConfig,
     _build_parser,
@@ -18,7 +22,10 @@ from outbreakmon.cli import (
     main,
 )
 
-from synthdata import record_line
+from outbreakmon.corpus import load_labeled_set
+from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
+
+from synthdata import labeled_lines, record_line, stream_lines
 
 
 def _one_record_file(tmp_path):
@@ -63,6 +70,53 @@ def test_keyword_file_with_undecodable_byte_exits_3_with_its_line(tmp_path, caps
                  "--output", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_PARSE
     assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_timeline_file_with_undecodable_byte_exits_6_with_its_row(tmp_path, capsys):
+    classified = _one_record_file(tmp_path)
+    timeline = tmp_path / "tl.csv"
+    timeline.write_bytes(b"date,kind,new_ill,cumulative_ill,states,note\n"
+                         b"2015-09-04,announcement,,285,27,\n"
+                         b"2015-09-09,announcement,56,341,30,bad \xff byte\n")
+    code = main(["report", "--input", str(classified), "--timeline", str(timeline),
+                 "--output", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_TIMELINE
+    assert "row 3: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_scoring_commands_never_import_numpy(tmp_path):
+    labeled = tmp_path / "labeled.jsonl"
+    lines = labeled_lines(30, 30)
+    labeled.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", "--labeled", str(labeled), "--model", str(model),
+                 "--quiet"]) == EXIT_OK
+    # the file holds exactly the weights the trainer produced
+    trained = train_from_labeled(load_labeled_set(lines), TrainingConfig())
+    loaded = load_model(model)
+    assert (loaded.weights, loaded.bias) == (trained.weights, trained.bias)
+    assert all(type(w) is float for w in loaded.weights)
+
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(line + "\n" for line in stream_lines(200)), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import outbreakmon.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by outbreakmon.cli'\n"
+        "codes = [cli.main([command, '--input', sys.argv[1], '--model', sys.argv[2],\n"
+        "                   '--output', sys.argv[3] + '/' + command, '--quiet'])\n"
+        "         for command in ('classify', 'pipeline')]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported while scoring'\n"
+    )
+    src = str(Path(outbreakmon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", script, str(stream), str(model),
+                             str(tmp_path / "o")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "o" / "pipeline" / "manifest.json").is_file()
 
 
 def test_model_written_into_new_directory(tmp_path):

@@ -1,5 +1,6 @@
+import json
 import os
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,6 @@ GOOD_LINE = '{"id":"t1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella cu
 
 def make_line(record_id="t1", timestamp="2015-09-04T12:00:00Z", text="hello world",
               ensure_ascii=True, **extra):
-    import json
-
     obj = {"id": record_id, "timestamp": timestamp, "text": text, **extra}
     return json.dumps(obj, ensure_ascii=ensure_ascii)
 
@@ -200,6 +199,8 @@ class TestLoadLabeledSet:
     ).map(lambda d: d.replace(microsecond=0, tzinfo=timezone.utc)),
     text=st.text(min_size=1).filter(lambda s: s.strip()),
 )
+@example(record_id='"\\', instant=datetime(2015, 9, 4, tzinfo=timezone.utc),
+         text="\u2028\u2029\x00\x1f\x7f\n")
 def test_round_trip_line_format(record_id, instant, text):
     record = TweetRecord(id=record_id, timestamp=instant, text=text)
     line = record.to_line()
@@ -207,9 +208,32 @@ def test_round_trip_line_format(record_id, instant, text):
     assert parse_tweet_line(line) == record
 
 
+# Characters json escapes or treats specially, and lone surrogates, which
+# to_line must write out exactly as json.dumps(ensure_ascii=False) does.
+_ANY_TEXT = st.text(alphabet=st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\u2028\u2029\ud800\udbff\udc00\udcff\udfff')))
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_id=_ANY_TEXT, text=_ANY_TEXT, instant=st.datetimes(
+    min_value=datetime(1, 1, 1), timezones=st.just(timezone.utc)))
+def test_to_line_equals_compact_json_dumps(record_id, instant, text):
+    record = TweetRecord(id=record_id, timestamp=instant.replace(microsecond=0), text=text)
+    assert record.to_line() == json.dumps(
+        {"id": record_id, "timestamp": format_timestamp(record.timestamp), "text": text},
+        ensure_ascii=False, separators=(",", ":"))
+
+
 def test_format_timestamp_is_canonical():
     instant = datetime(2015, 9, 4, 0, 0, 0, tzinfo=timezone.utc)
     assert format_timestamp(instant) == "2015-09-04T00:00:00Z"
+
+
+def test_format_timestamp_converts_other_offsets_to_utc():
+    plus_two = timezone(timedelta(hours=2))
+    assert format_timestamp(datetime(2015, 9, 4, 1, 30, tzinfo=plus_two)) == "2015-09-03T23:30:00Z"
+    assert parse_timestamp("2015-09-03T23:30:00Z").tzinfo is timezone.utc
 
 
 @settings(max_examples=300, deadline=None)

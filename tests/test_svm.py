@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outbreakmon.corpus import load_labeled_set
 from outbreakmon.errors import ModelFileError, TrainingDataError
@@ -201,6 +203,63 @@ class TestDecisionValueAndPredict:
         model = _tiny_model(weights=[1.0])
         with pytest.raises(IndexError):
             decision_value(model, SparseVector(entries=((5, 1.0),)))
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _weights_and_vector(draw):
+    weights = draw(st.lists(_FINITE, min_size=1, max_size=30))
+    indices = sorted(draw(st.sets(st.integers(0, len(weights) - 1))))
+    values = draw(st.lists(_FINITE.filter(bool), min_size=len(indices),
+                           max_size=len(indices)))
+    return weights, SparseVector(entries=tuple(zip(indices, values)))
+
+
+class TestBitExactScoring:
+    @settings(max_examples=500, deadline=None)
+    @given(case=_weights_and_vector(), bias=_FINITE)
+    def test_decision_value_is_the_left_to_right_sum_plus_bias(self, case, bias):
+        weights, vector = case
+        total = 0.0
+        for index, value in vector.entries:
+            total = total + weights[index] * value
+        value = decision_value(_tiny_model(weights, bias), vector)
+        assert type(value) is float
+        assert value == total + bias
+
+    # 0.1 + 0.2 rounds up to 0.30000000000000004, so the left-to-right sum
+    # lands exactly on the tie. The exact sum of the three doubles is about
+    # -2.8e-17: a compensated sum (math.fsum, or sum() over floats from
+    # Python 3.12 on) would flip this probe to irrelevant.
+    def test_probe_rounded_onto_the_tie_stays_relevant(self):
+        model = _tiny_model(weights=[0.1, 0.2], bias=-0.30000000000000004)
+        vector = SparseVector(entries=((0, 1.0), (1, 1.0)))
+        assert math.fsum([0.1, 0.2, -0.30000000000000004]) < 0.0
+        assert decision_value(model, vector) == 0.0
+        assert predict(model, vector) == 1
+
+    @pytest.mark.parametrize("bias, expected, label", [
+        (-0.3, 5.551115123125783e-17, 1),
+        (-0.3000000000000001, -5.551115123125783e-17, -1),
+    ])
+    def test_probe_within_1e_9_of_zero_keeps_value_and_label(self, bias, expected, label):
+        model = _tiny_model(weights=[0.1, 0.2], bias=bias)
+        vector = SparseVector(entries=((0, 1.0), (1, 1.0)))
+        assert abs(expected) < 1e-9
+        assert decision_value(model, vector) == expected
+        assert predict(model, vector) == label
+
+    def test_weights_are_stored_as_python_floats(self):
+        model = _tiny_model(weights=np.asarray([1.0, -2.5]))
+        assert model.weights == (1.0, -2.5)
+        assert all(type(w) is float for w in model.weights)
+
+    @pytest.mark.parametrize("weights", [[1.0, math.nan], np.asarray([math.inf])])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            _tiny_model(weights=weights)
 
 
 def _tiny_model(weights, bias=0.0):

@@ -286,6 +286,16 @@ class TestTimelineFiles:
         with pytest.raises(TimelineError):
             parse_timeline_file([])
 
+    @pytest.mark.parametrize("row_no", [1, 3])
+    def test_undecodable_byte_names_its_row(self, row_no):
+        # what a file read with errors="surrogateescape" yields for byte 0xff
+        lines = ["date,kind,new_ill,cumulative_ill,states,note",
+                 "2015-09-04,announcement,,285,27,",
+                 "2015-09-09,announcement,56,341,30,"]
+        lines[row_no - 1] += "\udcff"
+        with pytest.raises(TimelineError, match=f"row {row_no}: invalid UTF-8"):
+            parse_timeline_file(lines)
+
 
 class TestReportFormatting:
     def test_period_csv_shape(self):

@@ -170,7 +170,10 @@ class TestVectorize:
         index_of = model.vocabulary.terms
         for text, want in zip(texts, tfidf_by_hand(docs)):
             expected = tuple(sorted((index_of[term], value) for term, value in want.items()))
-            assert vectorize(model, text).entries == expected
+            vector = vectorize(model, text)
+            assert vector.entries == expected
+            # built without the public checks, yet equal to a checked vector
+            assert vector == SparseVector(entries=expected)
 
     def test_entries_sorted_and_nonzero(self):
         model = fit_tfidf(["dd cc bb aa", "aa ee"])
