@@ -1,127 +1,7 @@
 """Social-stream monitoring pipeline: keyword filter, tf-idf + linear-SVM
-relevance classifier, and announcement-aligned period reports."""
+relevance classifier, and announcement-aligned period reports.
+
+The ``outbreakmon`` command line (``outbreakmon.cli``) is the interface; the
+package itself exports only ``__version__``."""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    Corpus,
-    LabeledExample,
-    TweetRecord,
-    class_counts,
-    load_corpus,
-    load_labeled_set,
-    parse_tweet_line,
-)
-from .errors import (
-    ModelFileError,
-    ParseError,
-    PipelineError,
-    TimelineError,
-    TrainingDataError,
-)
-from .keywords import (
-    DEFAULT_PHRASES,
-    KeywordSet,
-    default_keywords,
-    filter_corpus,
-    load_keywords,
-    matches,
-    normalize_text,
-)
-from .svm import (
-    SvmModel,
-    TrainingConfig,
-    TrainingMeta,
-    decision_value,
-    load_model,
-    objective,
-    predict,
-    save_model,
-    train,
-    train_from_labeled,
-    training_accuracy,
-)
-from .timeline import (
-    PRE_PERIOD,
-    EventRecord,
-    EventTimeline,
-    PeriodReport,
-    PeriodRow,
-    assign_period,
-    bucket_counts,
-    builtin_cdc_timeline,
-    daily_frequency,
-    format_daily_counts,
-    format_period_report,
-    format_timeline,
-    parse_timeline_file,
-    validate_timeline,
-)
-from .vectorizer import (
-    SparseVector,
-    TfIdfModel,
-    Vocabulary,
-    build_vocabulary,
-    fit_tfidf,
-    inverse_document_frequency,
-    term_frequency,
-    tokenize,
-    vectorize,
-)
-
-__all__ = [
-    "__version__",
-    "Corpus",
-    "DEFAULT_PHRASES",
-    "EventRecord",
-    "EventTimeline",
-    "KeywordSet",
-    "LabeledExample",
-    "ModelFileError",
-    "ParseError",
-    "PeriodReport",
-    "PeriodRow",
-    "PipelineError",
-    "PRE_PERIOD",
-    "SparseVector",
-    "SvmModel",
-    "TfIdfModel",
-    "TimelineError",
-    "TrainingConfig",
-    "TrainingDataError",
-    "TrainingMeta",
-    "TweetRecord",
-    "Vocabulary",
-    "assign_period",
-    "bucket_counts",
-    "builtin_cdc_timeline",
-    "build_vocabulary",
-    "class_counts",
-    "daily_frequency",
-    "decision_value",
-    "default_keywords",
-    "filter_corpus",
-    "fit_tfidf",
-    "format_daily_counts",
-    "format_period_report",
-    "format_timeline",
-    "inverse_document_frequency",
-    "load_corpus",
-    "load_keywords",
-    "load_labeled_set",
-    "load_model",
-    "matches",
-    "normalize_text",
-    "objective",
-    "parse_timeline_file",
-    "parse_tweet_line",
-    "predict",
-    "save_model",
-    "term_frequency",
-    "tokenize",
-    "train",
-    "train_from_labeled",
-    "training_accuracy",
-    "validate_timeline",
-    "vectorize",
-]

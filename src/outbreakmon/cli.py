@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -235,11 +235,11 @@ def run_train(cfg: PipelineConfig) -> dict:
     }
 
 
-def run_classify(cfg: PipelineConfig, input_path: Path | None = None) -> dict:
+def run_classify(cfg: PipelineConfig) -> dict:
     if cfg.model_path is None:
         raise FileNotFoundError("no model file configured")
     model = load_model(cfg.model_path)
-    corpus = _load_corpus_file(input_path or cfg.input_path, cfg.strictness, "input")
+    corpus = _load_corpus_file(cfg.input_path, cfg.strictness, "input")
     relevant = tuple(
         record
         for record in corpus
@@ -258,14 +258,14 @@ def run_classify(cfg: PipelineConfig, input_path: Path | None = None) -> dict:
     }
 
 
-def run_report(cfg: PipelineConfig, input_path: Path | None = None) -> dict:
+def run_report(cfg: PipelineConfig) -> dict:
     if (
         cfg.daily_start is not None
         and cfg.daily_end is not None
         and cfg.daily_end < cfg.daily_start
     ):
         raise ValueError(f"inverted daily interval: {cfg.daily_start}..{cfg.daily_end}")
-    corpus = _load_corpus_file(input_path or cfg.input_path, cfg.strictness, "input")
+    corpus = _load_corpus_file(cfg.input_path, cfg.strictness, "input")
     timeline = _load_timeline(cfg.timeline_path)
     violations = validate_timeline(timeline)
     if violations:
@@ -320,8 +320,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     stages = {
         "filter": run_filter(cfg),
-        "classify": run_classify(cfg, input_path=cfg.output_dir / FILTERED_NAME),
-        "report": run_report(cfg, input_path=cfg.output_dir / RELEVANT_NAME),
+        "classify": run_classify(replace(cfg, input_path=cfg.output_dir / FILTERED_NAME)),
+        "report": run_report(replace(cfg, input_path=cfg.output_dir / RELEVANT_NAME)),
     }
     manifest = {
         "format": MANIFEST_FORMAT,

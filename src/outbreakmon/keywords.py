@@ -51,9 +51,6 @@ class KeywordSet:
             padded.append(f" {normalized} ")
         object.__setattr__(self, "padded", tuple(padded))
 
-    def __len__(self) -> int:
-        return len(self.phrases)
-
 
 def default_keywords() -> KeywordSet:
     """The built-in seven-phrase watch list."""

@@ -144,7 +144,6 @@ def train(
     n = len(examples)
     C = config.C
     ys = [float(label) for _, label in examples]
-    entry_lists = [vector.entries for vector, _ in examples]
     q_diag = [vector.squared_norm() + 1.0 for vector, _ in examples]
 
     # Augmented weight vector: slots [0, dim) are features, slot dim is bias.
@@ -162,9 +161,9 @@ def train(
         pg_max = -math.inf
         pg_min = math.inf
         for i in rng.permutation(n):
-            entries = entry_lists[i]
+            vector = examples[i][0]
             y = ys[i]
-            g = y * (sum(w[j] * v for j, v in entries) + w[dim]) - 1.0
+            g = y * (vector.dot(w) + w[dim]) - 1.0
             a = alpha[i]
             if a <= 0.0:
                 pg = min(g, 0.0)
@@ -180,7 +179,7 @@ def train(
                 a_new = min(max(a - g / q_diag[i], 0.0), C)
                 delta = (a_new - a) * y
                 if delta != 0.0:
-                    for j, v in entries:
+                    for j, v in vector.entries:
                         w[j] += delta * v
                     w[dim] += delta
                     alpha[i] = a_new
@@ -248,6 +247,21 @@ def _reject_constant(value: str):
     raise ModelFileError(f"non-finite number {value!r} in model file")
 
 
+def _finite_number(value: object, name: str) -> float:
+    """A JSON number as a finite float. A boolean or any other type, and a
+    number past the float range (``1e999`` parses as infinity, a 400-digit
+    integer overflows ``float``), make the model file corrupt."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFileError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFileError(f"{name} is outside the float range")
+    return number
+
+
 def save_model(model: SvmModel, destination: str | Path) -> None:
     """Write the model as a versioned, human-inspectable JSON text file.
 
@@ -303,18 +317,22 @@ def load_model(source: str | Path) -> SvmModel:
         weights = payload["weights"]
         bias = payload["bias"]
         meta_obj = payload["training_meta"]
+        epochs_run = meta_obj["epochs_run"]
+        if isinstance(epochs_run, bool) or not isinstance(epochs_run, int):
+            raise ModelFileError("training_meta.epochs_run must be an integer")
         meta = TrainingMeta(
-            C=float(meta_obj["C"]),
-            epochs_run=int(meta_obj["epochs_run"]),
-            final_objective=float(meta_obj["final_objective"]),
+            C=_finite_number(meta_obj["C"], "training_meta.C"),
+            epochs_run=epochs_run,
+            final_objective=_finite_number(
+                meta_obj["final_objective"], "training_meta.final_objective"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"model file is missing or mistypes a field: {exc}") from None
 
     if token_rules != TOKEN_RULES_V1:
         raise ModelFileError(f"unsupported token rules {token_rules!r}")
-    if not isinstance(corpus_size, int) or corpus_size < 1:
-        raise ModelFileError(f"invalid corpus size {corpus_size!r}")
+    if isinstance(corpus_size, bool) or not isinstance(corpus_size, int) or corpus_size < 1:
+        raise ModelFileError(f"invalid corpus_size {corpus_size!r}")
     if not isinstance(term_rows, list):
         raise ModelFileError("vocabulary terms must be a list")
     terms: dict[str, int] = {}
@@ -335,21 +353,17 @@ def load_model(source: str | Path) -> SvmModel:
             raise ModelFileError(f"document frequency {df} out of range for term {term!r}")
         terms[term] = len(terms)
         doc_frequency[term] = df
-    if not isinstance(weights, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in weights
-    ):
+    if not isinstance(weights, list):
         raise ModelFileError("weights must be a list of numbers")
     if len(weights) != len(terms):
         raise ModelFileError(
             f"weights length {len(weights)} does not match vocabulary size {len(terms)}"
         )
-    if not isinstance(bias, (int, float)):
-        raise ModelFileError("bias must be a number")
 
     vocabulary = Vocabulary(terms=terms, doc_frequency=doc_frequency, corpus_size=corpus_size)
     return SvmModel(
-        weights=weights,
-        bias=float(bias),
+        weights=[_finite_number(x, "weight") for x in weights],
+        bias=_finite_number(bias, "bias"),
         vectorizer=TfIdfModel(vocabulary=vocabulary, token_rules=token_rules),
         training_meta=meta,
     )

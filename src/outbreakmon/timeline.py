@@ -25,8 +25,6 @@ FINAL_ANNOUNCEMENT = "final_announcement"
 EVENT_KINDS = (ILLNESS_ONSET, ANNOUNCEMENT, RECALL, FINAL_ANNOUNCEMENT)
 BOUNDARY_KINDS = frozenset({ANNOUNCEMENT, FINAL_ANNOUNCEMENT})
 
-PRE_PERIOD = -1
-
 TIMELINE_HEADER = ("date", "kind", "new_ill", "cumulative_ill", "states", "note")
 
 
@@ -58,9 +56,6 @@ class EventTimeline:
 
     def announcements(self) -> tuple[EventRecord, ...]:
         return tuple(e for e in self.events if e.kind in BOUNDARY_KINDS)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True)
@@ -136,23 +131,6 @@ def _boundaries(timeline: EventTimeline) -> list[datetime]:
     return bounds
 
 
-def _as_utc(instant: datetime) -> datetime:
-    if instant.tzinfo is None:
-        return instant.replace(tzinfo=timezone.utc)
-    return instant.astimezone(timezone.utc)
-
-
-def assign_period(timeline: EventTimeline, instant: datetime) -> int:
-    """Index of the inter-announcement period holding the instant.
-
-    Returns PRE_PERIOD (-1) before the first announcement; boundary instants
-    (midnight UTC of an announcement date) open their own period; instants
-    past the last boundary stay in the final period. Naive datetimes are
-    taken as UTC.
-    """
-    return bisect_right(_boundaries(timeline), _as_utc(instant)) - 1
-
-
 def bucket_counts(timeline: EventTimeline, tweets: Iterable[TweetRecord]) -> PeriodReport:
     """Count tweets per period; the pre-period gets its own leading row.
 
@@ -162,7 +140,7 @@ def bucket_counts(timeline: EventTimeline, tweets: Iterable[TweetRecord]) -> Per
     bounds = _boundaries(timeline)
     counts = [0] * (len(bounds) + 1)
     for tweet in tweets:
-        counts[bisect_right(bounds, _as_utc(tweet.timestamp))] += 1
+        counts[bisect_right(bounds, tweet.timestamp)] += 1
     dates = [b.date() for b in bounds]
     rows = [PeriodRow(start=None, end=dates[0], count=counts[0])]
     for k, start in enumerate(dates):
@@ -218,12 +196,16 @@ def validate_timeline(timeline: EventTimeline) -> list[str]:
 def daily_frequency(
     tweets: Iterable[TweetRecord], start: date, end: date
 ) -> list[tuple[date, int]]:
-    """Per-calendar-day tweet counts over [start, end], zero-filled."""
+    """Per-calendar-day tweet counts over [start, end], zero-filled.
+
+    A tweet's day is the date of its timestamp, which ``parse_timestamp``
+    always returns in UTC.
+    """
     if end < start:
         raise ValueError(f"inverted interval: {start}..{end}")
     counts: dict[date, int] = {}
     for tweet in tweets:
-        day = _as_utc(tweet.timestamp).date()
+        day = tweet.timestamp.date()
         if start <= day <= end:
             counts[day] = counts.get(day, 0) + 1
     series = []
@@ -287,42 +269,42 @@ def _unicode_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         yield row_no, row
 
 
-def format_timeline(timeline: EventTimeline) -> str:
-    """Render a timeline in the same CSV shape parse_timeline_file reads."""
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """The header row, then the rows, as CSV text with ``\\n`` line ends."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TIMELINE_HEADER)
-    for e in timeline.events:
-        writer.writerow([
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def format_timeline(timeline: EventTimeline) -> str:
+    """Render a timeline in the same CSV shape parse_timeline_file reads."""
+    return _csv_text(TIMELINE_HEADER, (
+        [
             e.date.isoformat(),
             e.kind,
             "" if e.new_ill is None else e.new_ill,
             "" if e.cumulative_ill is None else e.cumulative_ill,
             "" if e.states is None else e.states,
             e.note,
-        ])
-    return buffer.getvalue()
+        ]
+        for e in timeline.events
+    ))
 
 
 def format_period_report(report: PeriodReport) -> str:
     """CSV table: period_start, period_end, tweet_count."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("period_start", "period_end", "tweet_count"))
-    for row in report.rows:
-        writer.writerow([
+    return _csv_text(("period_start", "period_end", "tweet_count"), (
+        [
             "" if row.start is None else row.start.isoformat(),
             "" if row.end is None else row.end.isoformat(),
             row.count,
-        ])
-    return buffer.getvalue()
+        ]
+        for row in report.rows
+    ))
 
 
 def format_daily_counts(series: Sequence[tuple[date, int]]) -> str:
     """CSV table: date, count."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("date", "count"))
-    for day, count in series:
-        writer.writerow([day.isoformat(), count])
-    return buffer.getvalue()
+    return _csv_text(("date", "count"), ([day.isoformat(), count] for day, count in series))

@@ -86,7 +86,11 @@ class SparseVector:
         return total
 
     def squared_norm(self) -> float:
-        return sum(value * value for _, value in self.entries)
+        """The squares summed left to right in an explicit loop, as ``dot`` sums."""
+        total = 0.0
+        for _, value in self.entries:
+            total += value * value
+        return total
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)

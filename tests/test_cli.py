@@ -21,6 +21,7 @@ from outbreakmon.corpus import load_corpus
 from outbreakmon.svm import load_model
 from outbreakmon.timeline import builtin_cdc_timeline, parse_timeline_file, validate_timeline
 
+from oracles import brute_bucket
 from synthdata import (
     DECOY_TEMPLATES,
     RELEVANT_TEMPLATES,
@@ -188,6 +189,17 @@ class TestClassify:
                      "--output", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_MODEL
         assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_weight_past_the_float_range_exits_5(self, tmp_path, model_file, stream_file,
+                                                 capsys):
+        payload = json.loads(model_file.read_text())
+        payload["weights"][0] = "@"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload).replace('"@"', "1e999"))
+        code = main(["classify", "--input", str(stream_file), "--model", str(broken),
+                     "--output", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_MODEL
+        assert "outside the float range" in capsys.readouterr().err
 
 
 class TestReport:
@@ -369,12 +381,10 @@ def test_table_replay_through_report_command(tmp_path, capsys):
     # Scaled-down stand-in for the full replay (the acceptance suite runs the
     # real one): three records per period row keeps this test fast.
     records = [r for r in table_replay_records()]
-    by_period: dict[tuple, list] = {}
-    from outbreakmon.timeline import assign_period
-
-    timeline = builtin_cdc_timeline()
+    by_period: dict[int, list] = {}
+    bounds = [e.date for e in builtin_cdc_timeline().announcements()]
     for r in records:
-        by_period.setdefault(assign_period(timeline, r.timestamp), []).append(r)
+        by_period.setdefault(brute_bucket(bounds, [r.timestamp]).index(1), []).append(r)
     sample = [r for period in sorted(by_period) for r in by_period[period][:3]]
     classified = write_lines(tmp_path / "c.jsonl", [r.to_line() for r in sample])
     out = tmp_path / "o"

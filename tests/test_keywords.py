@@ -36,7 +36,7 @@ class TestDefaultKeywords:
             "Fat Boy Brand",
             "Mexican Cucumbers",
         )
-        assert len(keywords) == 7
+        assert len(keywords.phrases) == 7
 
     def test_every_phrase_normalizes_non_empty(self):
         assert all(normalize_text(p) for p in default_keywords().phrases)

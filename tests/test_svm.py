@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreakmon import svm, vectorizer
 from outbreakmon.corpus import load_labeled_set
 from outbreakmon.errors import ModelFileError, TrainingDataError
 from outbreakmon.svm import (
@@ -41,6 +42,8 @@ ORACLE_FIXTURES = [
      [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]],
      [1, 1, 1, -1, -1, -1], 0.5, 1.5),
 ]
+
+BIG_INT = "1" + "0" * 400  # a JSON integer that float() overflows
 
 TIGHT = TrainingConfig(C=1.0, tolerance=1e-10, max_epochs=20000, seed=42)
 
@@ -372,6 +375,25 @@ class TestModelFile:
         with pytest.raises(ValueError):
             save_model(_tiny_model(weights=[1.0]), tmp_path / "m.json")
 
+    @pytest.mark.parametrize("field, raw", [
+        ("weight", "1e999"),
+        ("bias", "1e999"),
+        ("weight", BIG_INT),
+        ("bias", BIG_INT),
+        ("C", BIG_INT),
+        ("final_objective", "1e999"),
+        ("epochs_run", "1e999"),
+        ("epochs_run", "2.5"),
+        ("bias", "true"),
+        ("corpus_size", "true"),
+    ], ids=lambda value: "10**400" if value == BIG_INT else value)
+    def test_out_of_range_or_mistyped_number_is_corrupt(self, trained, tmp_path, field, raw):
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        write_model_with(path, field, raw)
+        with pytest.raises(ModelFileError, match=field):
+            load_model(path)
+
     def test_df_out_of_range_rejected(self, trained, tmp_path):
         path = tmp_path / "model.json"
         save_model(trained, path)
@@ -380,6 +402,33 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match="document frequency"):
             load_model(path)
+
+
+def write_model_with(path, field, raw):
+    """Rewrite a saved model with one number replaced by the raw JSON text
+    ``raw`` ("weight" is the first weight, "corpus_size" is in vocabulary,
+    "C", "epochs_run" and "final_objective" are in training_meta)."""
+    payload = json.loads(path.read_text())
+    if field == "weight":
+        payload["weights"][0] = "@"
+    elif field == "bias":
+        payload["bias"] = "@"
+    elif field == "corpus_size":
+        payload["vocabulary"]["corpus_size"] = "@"
+    else:
+        payload["training_meta"][field] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', raw))
+
+
+def test_trained_model_does_not_depend_on_builtin_sum(tmp_path, monkeypatch):
+    # math.fsum stands in for a compensated builtin sum, as Python 3.12 has:
+    # training must sum in explicit loops, so the model file keeps its bytes.
+    examples = load_labeled_set(labeled_lines(30, 30))
+    save_model(train_from_labeled(examples), tmp_path / "plain.json")
+    for module in (svm, vectorizer):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    save_model(train_from_labeled(examples), tmp_path / "compensated.json")
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "compensated.json").read_bytes()
 
 
 class TestTrainingConfig:

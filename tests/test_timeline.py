@@ -10,11 +10,9 @@ from outbreakmon.timeline import (
     ANNOUNCEMENT,
     FINAL_ANNOUNCEMENT,
     ILLNESS_ONSET,
-    PRE_PERIOD,
     RECALL,
     EventRecord,
     EventTimeline,
-    assign_period,
     bucket_counts,
     builtin_cdc_timeline,
     daily_frequency,
@@ -37,10 +35,18 @@ def record(i, instant):
     return TweetRecord(id=f"t{i}", timestamp=instant, text="salmonella")
 
 
+def period_of(timeline, instant):
+    """Index of the bucket_counts row that one tweet at the instant lands
+    in: 0 is the pre-period, k the period opened by announcement k."""
+    counts = [row.count for row in bucket_counts(timeline, [record(0, instant)]).rows]
+    assert sum(counts) == 1
+    return counts.index(1)
+
+
 class TestBuiltinTimeline:
     def test_event_census(self):
         timeline = builtin_cdc_timeline()
-        assert len(timeline) == 13
+        assert len(timeline.events) == 13
         kinds = [e.kind for e in timeline.events]
         assert kinds.count(ILLNESS_ONSET) == 1
         assert kinds.count(ANNOUNCEMENT) == 9
@@ -83,19 +89,21 @@ class TestBuiltinTimeline:
 
 
 class TestAssignPeriod:
+    """The period a single tweet is assigned to, read off bucket_counts."""
+
     def test_boundary_instant_opens_its_period(self):
-        assert assign_period(builtin_cdc_timeline(), utc(2015, 9, 4)) == 0
+        assert period_of(builtin_cdc_timeline(), utc(2015, 9, 4)) == 1
 
     def test_before_initial_announcement_is_pre_period(self):
-        assert assign_period(builtin_cdc_timeline(), utc(2015, 8, 15, 10)) == PRE_PERIOD
+        assert period_of(builtin_cdc_timeline(), utc(2015, 8, 15, 10)) == 0
 
     def test_last_second_before_next_boundary(self):
-        assert assign_period(builtin_cdc_timeline(), utc(2015, 9, 8, 23, 59, 59)) == 0
+        assert period_of(builtin_cdc_timeline(), utc(2015, 9, 8, 23, 59, 59)) == 1
 
     def test_final_period_is_open_ended(self):
         timeline = builtin_cdc_timeline()
-        assert assign_period(timeline, utc(2016, 3, 18)) == 9
-        assert assign_period(timeline, utc(2019, 1, 1)) == 9
+        assert period_of(timeline, utc(2016, 3, 18)) == 10
+        assert period_of(timeline, utc(2019, 1, 1)) == 10
 
     def test_monotone_in_time(self):
         timeline = builtin_cdc_timeline()
@@ -104,18 +112,13 @@ class TestAssignPeriod:
             utc(2015, 7, 1) + timedelta(seconds=rng.randrange(0, 40_000_000))
             for _ in range(300)
         )
-        periods = [assign_period(timeline, t) for t in instants]
+        periods = [period_of(timeline, t) for t in instants]
         assert periods == sorted(periods)
-
-    def test_naive_datetime_treated_as_utc(self):
-        timeline = builtin_cdc_timeline()
-        naive = datetime(2015, 9, 4, 0, 0, 0)
-        assert assign_period(timeline, naive) == 0
 
     def test_timeline_without_announcements_rejected(self):
         timeline = EventTimeline(events=(EventRecord(date=date(2015, 7, 3), kind=ILLNESS_ONSET),))
         with pytest.raises(TimelineError):
-            assign_period(timeline, utc(2015, 9, 4))
+            period_of(timeline, utc(2015, 9, 4))
 
     def test_unordered_announcements_rejected(self):
         timeline = EventTimeline(events=(
@@ -123,7 +126,7 @@ class TestAssignPeriod:
             EventRecord(date=date(2015, 9, 4), kind=ANNOUNCEMENT),
         ))
         with pytest.raises(TimelineError, match="strictly increasing"):
-            assign_period(timeline, utc(2015, 9, 10))
+            period_of(timeline, utc(2015, 9, 10))
 
 
 class TestBucketCounts:

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from outbreakmon import vectorizer
 from outbreakmon.errors import TrainingDataError
 from outbreakmon.vectorizer import (
     SparseVector,
@@ -217,6 +220,23 @@ class TestSparseVector:
         vector = SparseVector(entries=((0, 2.0), (3, -1.0)))
         assert vector.dot([1.0, 9.0, 9.0, 4.0]) == -2.0
         assert vector.squared_norm() == 5.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6, allow_nan=False).filter(bool), max_size=30))
+    def test_squared_norm_is_the_left_to_right_loop(self, values):
+        total = 0.0
+        for value in values:
+            total = total + value * value
+        assert SparseVector(entries=tuple(enumerate(values))).squared_norm() == total
+
+    # The exact sum of the squares is 1 + 2e-16. Left to right, each 1e-16 is
+    # lost against 1.0; a compensated sum (math.fsum, or sum() over floats from
+    # Python 3.12 on) rounds the exact sum up to the next double.
+    def test_squared_norm_probe_unchanged_by_a_compensated_sum(self, monkeypatch):
+        values = (1.0, 1e-8, 1e-8)
+        assert math.fsum(v * v for v in values) == 1.0000000000000002
+        monkeypatch.setattr(vectorizer, "sum", math.fsum, raising=False)
+        assert SparseVector(entries=tuple(enumerate(values))).squared_norm() == 1.0
 
 
 def test_token_rules_recorded_in_model():
