@@ -80,9 +80,9 @@ def format_timestamp(instant: datetime) -> str:
     """Render a UTC instant in the canonical second-precision input format."""
     if instant.tzinfo is not None and instant.tzinfo is not timezone.utc:
         instant = instant.astimezone(timezone.utc)
-    # strftime("%Y") drops the zero padding of years below 1000 on glibc
-    return (f"{instant.year:04d}-{instant.month:02d}-{instant.day:02d}"
-            f"T{instant.hour:02d}:{instant.minute:02d}:{instant.second:02d}Z")
+    # isoformat zero-pads the year (strftime("%Y") does not on glibc); the
+    # first 19 characters drop microseconds and any offset
+    return instant.isoformat()[:19] + "Z"
 
 
 def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
@@ -144,14 +144,16 @@ def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRe
             if not isinstance(obj[field], str):
                 raise ParseError(f"field {field!r} must be a string", line_no)
 
-    if not record_id.strip():
+    # "not s or s.isspace()" equals "not s.strip()" and copies nothing
+    if not record_id or record_id.isspace():
         raise ParseError("empty id", line_no)
     timestamp = parse_timestamp(raw_timestamp, line_no)
-    if not text.strip():
+    if not text or text.isspace():
         raise ParseError("empty text", line_no)
-    for field in ("id", "text"):
-        if not _is_unicode(obj[field]):
-            raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
+    if not (record_id.isascii() and text.isascii()):
+        for field in ("id", "text"):
+            if not _is_unicode(obj[field]):
+                raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
 
     return TweetRecord(id=record_id, timestamp=timestamp, text=text)
 

@@ -74,7 +74,10 @@ def matches(keywords: KeywordSet, text: str) -> bool:
     each side a token run is exactly a substring.
     """
     padded = f" {normalize_text(text)} "
-    return any(phrase in padded for phrase in keywords.padded)
+    for phrase in keywords.padded:
+        if phrase in padded:
+            return True
+    return False
 
 
 def filter_corpus(corpus: Corpus, keywords: KeywordSet) -> Corpus:

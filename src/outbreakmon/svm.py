@@ -320,8 +320,13 @@ def load_model(source: str | Path) -> SvmModel:
         epochs_run = meta_obj["epochs_run"]
         if isinstance(epochs_run, bool) or not isinstance(epochs_run, int):
             raise ModelFileError("training_meta.epochs_run must be an integer")
+        if epochs_run < 0:
+            raise ModelFileError(f"training_meta.epochs_run {epochs_run} is negative")
+        C = _finite_number(meta_obj["C"], "training_meta.C")
+        if not C > 0:  # TrainingConfig rejects any other C
+            raise ModelFileError(f"training_meta.C must be positive, got {C!r}")
         meta = TrainingMeta(
-            C=_finite_number(meta_obj["C"], "training_meta.C"),
+            C=C,
             epochs_run=epochs_run,
             final_objective=_finite_number(
                 meta_obj["final_objective"], "training_meta.final_objective"),

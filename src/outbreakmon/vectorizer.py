@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import TrainingDataError
 
@@ -20,17 +19,15 @@ from .errors import TrainingDataError
 # self-describing. Any change to tokenize() must introduce a new identifier.
 TOKEN_RULES_V1 = "lower/alnum-split/minlen2/dropnum"
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A maximal alphanumeric run of two or more characters: a shorter run can
+# never match, so the regex alone drops single-character tokens.
+_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumerics (incl. ``&`` and ``_``), and
     drop single-character tokens and pure numbers."""
-    return [
-        tok
-        for tok in _TOKEN_RE.findall(text.lower())
-        if len(tok) >= 2 and not tok.isdigit()
-    ]
+    return [tok for tok in _TOKEN_RE.findall(text.lower()) if not tok.isdigit()]
 
 
 @dataclass(frozen=True)
@@ -126,22 +123,6 @@ def build_vocabulary(training_docs: Iterable[Sequence[str]]) -> Vocabulary:
     return Vocabulary(terms=terms, doc_frequency=doc_frequency, corpus_size=corpus_size)
 
 
-def term_frequency(counts: Mapping[str, int], term: str, max_f: int | None = None) -> float:
-    """Double-normalized within-tweet frequency: ``0.5 + 0.5 * f / max_f``.
-
-    The maximum runs over every term of the tweet; a caller asking for
-    several terms of one tweet passes it in as ``max_f``. The term must
-    itself occur in the tweet; absent terms contribute no vector entry and
-    must not be routed here.
-    """
-    occurrences = counts.get(term, 0)
-    if occurrences < 1:
-        raise ValueError(f"term {term!r} does not occur in the tweet")
-    if max_f is None:
-        max_f = max(counts.values())
-    return 0.5 + 0.5 * occurrences / max_f
-
-
 def inverse_document_frequency(vocab: Vocabulary, term: str) -> float:
     """Natural-log idf, ``ln(N / df)``; zero for terms in every document."""
     if term not in vocab.terms:
@@ -164,18 +145,20 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
     """
     if model.token_rules != TOKEN_RULES_V1:
         raise ValueError(f"unsupported token rules {model.token_rules!r}")
-    counts = Counter(tokenize(text))
+    counts: dict[str, int] = {}
+    for token in tokenize(text):
+        counts[token] = counts.get(token, 0) + 1
     if not counts:
         return SparseVector()
     index_idf = model.vocabulary.index_idf
     max_f = max(counts.values())
     entries = []
-    for token in counts:
+    for token, occurrences in counts.items():
         known = index_idf.get(token)
         if known is None:
             continue
         index, idf = known
-        value = term_frequency(counts, token, max_f) * idf
+        value = (0.5 + 0.5 * occurrences / max_f) * idf
         if value != 0.0:
             entries.append((index, value))
     entries.sort()

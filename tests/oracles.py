@@ -126,6 +126,25 @@ def tfidf_by_hand(token_docs):
 
 
 # ---------------------------------------------------------------------------
+# Per-record kernels in their plain, slower form
+# ---------------------------------------------------------------------------
+
+def fstring_timestamp(instant):
+    """The canonical timestamp field from the date fields one by one."""
+    if instant.tzinfo is not None and instant.tzinfo is not timezone.utc:
+        instant = instant.astimezone(timezone.utc)
+    return (f"{instant.year:04d}-{instant.month:02d}-{instant.day:02d}"
+            f"T{instant.hour:02d}:{instant.minute:02d}:{instant.second:02d}Z")
+
+
+def findall_tokenize(text):
+    """Every maximal alphanumeric run of the lowercased text, then the
+    single-character and pure-digit runs dropped."""
+    return [tok for tok in re.findall(r"[^\W_]+", text.lower())
+            if len(tok) >= 2 and not tok.isdigit()]
+
+
+# ---------------------------------------------------------------------------
 # Keyword phrase matching over token windows
 # ---------------------------------------------------------------------------
 

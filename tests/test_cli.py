@@ -201,6 +201,18 @@ class TestClassify:
         assert code == EXIT_MODEL
         assert "outside the float range" in capsys.readouterr().err
 
+    def test_non_positive_c_in_training_meta_exits_5(self, tmp_path, model_file,
+                                                     stream_file, capsys):
+        payload = json.loads(model_file.read_text())
+        payload["training_meta"]["C"] = -1.0
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        code = main(["classify", "--input", str(stream_file), "--model", str(broken),
+                     "--output", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_MODEL
+        assert "training_meta.C must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestReport:
     def _classified_file(self, tmp_path, count=50):

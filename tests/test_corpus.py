@@ -20,6 +20,8 @@ from outbreakmon.corpus import (
 )
 from outbreakmon.errors import ParseError, TrainingDataError
 
+from oracles import fstring_timestamp
+
 GOOD_LINE = '{"id":"t1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella cucumber recall"}'
 
 
@@ -55,6 +57,29 @@ class TestParseTweetLine:
     def test_empty_id_rejected(self):
         with pytest.raises(ParseError, match="empty id"):
             parse_tweet_line(make_line(record_id="  "))
+
+    # ideographic space, the information separator U+001C and NEL: Unicode
+    # whitespace that str.strip() removes
+    @pytest.mark.parametrize("blank", ["\u3000", "\x1c", "\x85", " \u3000\x1c\x85\t"])
+    @pytest.mark.parametrize("ensure_ascii", [True, False])
+    def test_unicode_whitespace_id_or_text_is_empty(self, blank, ensure_ascii):
+        with pytest.raises(ParseError, match="empty id"):
+            parse_tweet_line(make_line(record_id=blank, ensure_ascii=ensure_ascii))
+        with pytest.raises(ParseError, match="empty text"):
+            parse_tweet_line(make_line(text=blank, ensure_ascii=ensure_ascii))
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.text(alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"))))
+    def test_blank_exactly_when_strip_leaves_nothing(self, value):
+        for field, message in (("record_id", "empty id"), ("text", "empty text")):
+            line = make_line(**{field: value}, ensure_ascii=False)
+            if value.strip():
+                parse_tweet_line(line)
+            else:
+                with pytest.raises(ParseError, match=message):
+                    parse_tweet_line(line)
 
     def test_offset_timestamp_rejected(self):
         with pytest.raises(ParseError):
@@ -228,6 +253,19 @@ def test_to_line_equals_compact_json_dumps(record_id, instant, text):
 def test_format_timestamp_is_canonical():
     instant = datetime(2015, 9, 4, 0, 0, 0, tzinfo=timezone.utc)
     assert format_timestamp(instant) == "2015-09-04T00:00:00Z"
+
+
+# Days 2 to 30 of years 1 and 9999 keep a +02:00 instant inside the
+# datetime range when it is converted to UTC.
+@settings(max_examples=1000, deadline=None)
+@given(instant=st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+    timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=2))])))
+@example(instant=datetime(1, 1, 2, 1, 59, 59, 999999, tzinfo=timezone(timedelta(hours=2))))
+@example(instant=datetime(999, 12, 31, 23, 59, 59, 500000))
+@example(instant=datetime(9999, 12, 30, 23, 59, 59, 1, tzinfo=timezone.utc))
+def test_format_timestamp_equals_the_field_by_field_rule(instant):
+    assert format_timestamp(instant) == fstring_timestamp(instant)
 
 
 def test_format_timestamp_converts_other_offsets_to_utc():

@@ -386,6 +386,13 @@ class TestModelFile:
         ("epochs_run", "2.5"),
         ("bias", "true"),
         ("corpus_size", "true"),
+        # no trainer writes these: TrainingConfig requires C > 0, and the
+        # trainer counts epochs from 0
+        ("C", "0"),
+        ("C", "-0.0"),
+        ("C", "-1.0"),
+        ("C", "-5e-324"),
+        ("epochs_run", "-1"),
     ], ids=lambda value: "10**400" if value == BIG_INT else value)
     def test_out_of_range_or_mistyped_number_is_corrupt(self, trained, tmp_path, field, raw):
         path = tmp_path / "model.json"
@@ -393,6 +400,17 @@ class TestModelFile:
         write_model_with(path, field, raw)
         with pytest.raises(ModelFileError, match=field):
             load_model(path)
+
+    # the least C and epochs_run that load: the smallest positive float and 0
+    @pytest.mark.parametrize("field, raw, value", [
+        ("C", "5e-324", 5e-324),
+        ("epochs_run", "0", 0),
+    ])
+    def test_least_accepted_value_loads(self, trained, tmp_path, field, raw, value):
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        write_model_with(path, field, raw)
+        assert getattr(load_model(path).training_meta, field) == value
 
     def test_df_out_of_range_rejected(self, trained, tmp_path):
         path = tmp_path / "model.json"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from outbreakmon import vectorizer
@@ -14,12 +14,11 @@ from outbreakmon.vectorizer import (
     build_vocabulary,
     fit_tfidf,
     inverse_document_frequency,
-    term_frequency,
     tokenize,
     vectorize,
 )
 
-from oracles import tfidf_by_hand
+from oracles import findall_tokenize, tfidf_by_hand
 
 LN_2 = 0.6931471805599453  # math.log(2), frozen
 LN_200 = 5.298317366548036  # math.log(200), frozen
@@ -40,6 +39,15 @@ class TestTokenize:
 
     def test_alphanumeric_mix_kept(self):
         assert tokenize("h1n1 2015") == ["h1n1"]
+
+    # "²" is a digit that isdecimal() rejects; "İ" lowercases to "i" plus a
+    # combining dot, which is not alphanumeric.
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.text(alphabet=st.one_of(
+        st.characters(), st.sampled_from("aZ09_& ²İ\u0307\u00b9\u0661ǅ"))))
+    @example(text="a_b a&b x² ²² 1² İİ aİ __ab__ 9a 99")
+    def test_equals_the_findall_then_filter_rule(self, text):
+        assert tokenize(text) == findall_tokenize(text)
 
 
 class TestBuildVocabulary:
@@ -74,31 +82,44 @@ class TestBuildVocabulary:
             build_vocabulary([[], []])
 
 
+# The tf formula lives only inside vectorize(), so its cases are read off
+# vector entries: every term below is in exactly one of two training
+# documents, so its idf is ln 2 and its entry is tf * ln 2.
+def _entries_over_idf_ln2(terms, text):
+    model = fit_tfidf([" ".join(terms), "qq"])
+    assert all(idf == LN_2 for _, idf in model.vocabulary.index_idf.values())
+    index_of = model.vocabulary.terms
+    got = vectorize(model, text).as_dict()
+    return {term: got[index_of[term]] for term in terms if index_of[term] in got}
+
+
 class TestTermFrequency:
     def test_max_frequency_term(self):
-        assert term_frequency({"salmonella": 2, "cucumbers": 1}, "salmonella") == 1.0
+        entries = _entries_over_idf_ln2(["salmonella", "cucumbers"],
+                                        "salmonella cucumbers salmonella")
+        assert entries["salmonella"] == 1.0 * LN_2
 
     def test_half_of_max(self):
-        assert term_frequency({"salmonella": 2, "cucumbers": 1}, "cucumbers") == 0.75
+        entries = _entries_over_idf_ln2(["salmonella", "cucumbers"],
+                                        "salmonella cucumbers salmonella")
+        assert entries["cucumbers"] == 0.75 * LN_2
 
     def test_singleton(self):
-        assert term_frequency({"x": 1}, "x") == 1.0
-
-    def test_absent_term_is_contract_violation(self):
-        with pytest.raises(ValueError):
-            term_frequency({"x": 1}, "y")
+        assert _entries_over_idf_ln2(["xx"], "xx") == {"xx": 1.0 * LN_2}
 
     @settings(max_examples=200, deadline=None)
     @given(
         counts=st.dictionaries(
-            st.text(min_size=1, max_size=6), st.integers(min_value=1, max_value=50),
-            min_size=1, max_size=8,
+            st.text(alphabet="abcdef", min_size=2, max_size=6),
+            st.integers(min_value=1, max_value=50), min_size=1, max_size=8,
         )
     )
     def test_range_half_exclusive_to_one(self, counts):
-        for term in counts:
-            tf = term_frequency(counts, term)
-            assert 0.5 < tf <= 1.0
+        text = " ".join(term for term, f in counts.items() for _ in range(f))
+        entries = _entries_over_idf_ln2(list(counts), text)
+        assert set(entries) == set(counts)
+        for value in entries.values():
+            assert 0.5 * LN_2 < value <= 1.0 * LN_2
 
 
 class TestInverseDocumentFrequency:
