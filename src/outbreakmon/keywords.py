@@ -6,15 +6,12 @@ record (logical OR over the set).
 """
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus import Corpus, _is_unicode
 from .errors import ParseError
-
-log = logging.getLogger(__name__)
 
 # Built-in watch list for the 2015 cucumber-linked Salmonella outbreak.
 DEFAULT_PHRASES = (
@@ -83,12 +80,10 @@ def matches(keywords: KeywordSet, text: str) -> bool:
 def filter_corpus(corpus: Corpus, keywords: KeywordSet) -> Corpus:
     """Order-preserving subset of records with at least one phrase match.
 
-    Logs kept/dropped counts; the result carries over the source corpus's
-    rejected-line count since no re-parse happens here.
+    The result carries over the source corpus's rejected-line count since no
+    re-parse happens here.
     """
     kept = tuple(record for record in corpus.records if matches(keywords, record.text))
-    log.info("keyword filter kept %d of %d records (dropped %d)",
-             len(kept), len(corpus.records), len(corpus.records) - len(kept))
     return Corpus(records=kept, rejected_count=corpus.rejected_count)
 
 

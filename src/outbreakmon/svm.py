@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,12 +48,14 @@ class TrainingConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not (self.C > 0):
-            raise ValueError(f"C must be positive, got {self.C}")
+        if not (self.C > 0 and math.isfinite(self.C)):
+            raise ValueError(f"C must be positive and finite, got {self.C}")
         if not (self.tolerance > 0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:  # random.Random(-s) seeds exactly like random.Random(s)
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class TrainingMeta:
 class SvmModel:
     """Decision boundary (weights, bias) plus the vectorizer that feeds it.
 
-    ``weights`` accepts any sequence of numbers (an ndarray included) and is
-    stored as a tuple of Python floats, so scoring needs no numpy.
+    ``weights`` accepts any sequence of numbers and is stored as a tuple of
+    Python floats.
     """
 
     weights: tuple[float, ...]  # length equals vocabulary size when vectorizer is set
@@ -90,13 +93,13 @@ def objective(
     weights: Sequence[float], bias: float, examples: Sequence[tuple[SparseVector, int]], C: float
 ) -> float:
     """Primal objective with the bias inside the regularized norm."""
-    import numpy as np  # only training needs numpy; scoring never imports it
-
-    w = np.asarray(weights, dtype=float)
-    total = 0.5 * (float(w @ w) + bias * bias)
+    norm = 0.0
+    for value in weights:
+        norm += value * value
+    total = 0.5 * (norm + bias * bias)
     hinge = 0.0
     for vector, label in examples:
-        margin = label * (vector.dot(w) + bias)
+        margin = label * (vector.dot(weights) + bias)
         if margin < 1.0:
             hinge += 1.0 - margin
     return total + C * hinge
@@ -112,15 +115,13 @@ def train(
 ) -> SvmModel:
     """Fit weights and bias by dual coordinate descent.
 
-    Sweeps the examples in a seeded random order each epoch, clamping each
-    dual variable into [0, C]; stops when the projected-gradient gap over an
-    epoch drops below ``config.tolerance`` or after ``config.max_epochs``.
+    Sweeps the examples in a seeded Fisher-Yates order each epoch, clamping
+    each dual variable into [0, C]; stops when the projected-gradient gap over
+    an epoch drops below ``config.tolerance`` or after ``config.max_epochs``.
     ``dim`` fixes the feature dimension (defaults to 1 + highest index seen).
     ``trace_hook(epoch, dual_variables, objective)`` is called after each
     epoch with a snapshot, for diagnostics and tests.
     """
-    import numpy as np  # the seeded permutation; scoring never imports numpy
-
     examples = list(examples)
     if not examples:
         raise TrainingDataError("no training examples")
@@ -149,7 +150,8 @@ def train(
     # Augmented weight vector: slots [0, dim) are features, slot dim is bias.
     w = [0.0] * (dim + 1)
     alpha = [0.0] * n
-    rng = np.random.default_rng(config.seed)
+    order = list(range(n))
+    rng = random.Random(config.seed)  # random()'s stream per seed is fixed across versions
 
     def current_objective() -> float:
         return objective(w[:dim], w[dim], examples, C)
@@ -160,7 +162,10 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         pg_max = -math.inf
         pg_min = math.inf
-        for i in rng.permutation(n):
+        for k in range(n - 1, 0, -1):
+            j = int(rng.random() * (k + 1))
+            order[k], order[j] = order[j], order[k]
+        for i in order:
             vector = examples[i][0]
             y = ys[i]
             g = y * (vector.dot(w) + w[dim]) - 1.0

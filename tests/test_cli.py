@@ -130,6 +130,20 @@ class TestTrain:
                      "--model", str(tmp_path / "m.json"), "--c-param", "-3", "--quiet"])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--c-param", "inf", "C must be positive and finite, got inf"),
+    ])
+    def test_negative_seed_or_infinite_c_exits_2_naming_it(
+        self, tmp_path, labeled_file, capsys, flag, value, message
+    ):
+        model_path = tmp_path / "m.json"
+        code = main(["train", "--labeled", str(labeled_file), "--model", str(model_path),
+                     flag, value])
+        assert code == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_bad_label_file_exits_3(self, tmp_path):
         bad = write_lines(tmp_path / "bad.jsonl",
                           [labeled_lines(1, 1)[0].replace('"label":1', '"label":2')])

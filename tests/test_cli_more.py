@@ -85,38 +85,39 @@ def test_timeline_file_with_undecodable_byte_exits_6_with_its_row(tmp_path, caps
 
 
 def test_scoring_commands_never_import_numpy(tmp_path):
+    # numpy is a test dependency only: train, classify and pipeline must run
+    # in a process where importing it fails.
     labeled = tmp_path / "labeled.jsonl"
     lines = labeled_lines(30, 30)
     labeled.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     model = tmp_path / "model.json"
-    assert main(["train", "--labeled", str(labeled), "--model", str(model),
-                 "--quiet"]) == EXIT_OK
-    # the file holds exactly the weights the trainer produced
-    trained = train_from_labeled(load_labeled_set(lines), TrainingConfig())
-    loaded = load_model(model)
-    assert (loaded.weights, loaded.bias) == (trained.weights, trained.bias)
-    assert all(type(w) is float for w in loaded.weights)
-
     stream = tmp_path / "stream.jsonl"
     stream.write_text("".join(line + "\n" for line in stream_lines(200)), encoding="utf-8")
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
         "import outbreakmon.cli as cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported by outbreakmon.cli'\n"
-        "codes = [cli.main([command, '--input', sys.argv[1], '--model', sys.argv[2],\n"
-        "                   '--output', sys.argv[3] + '/' + command, '--quiet'])\n"
-        "         for command in ('classify', 'pipeline')]\n"
-        "assert codes == [0, 0], codes\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported while scoring'\n"
+        "labeled, model, stream, out = sys.argv[1:]\n"
+        "codes = [cli.main(['train', '--labeled', labeled, '--model', model, '--quiet'])]\n"
+        "codes += [cli.main([command, '--input', stream, '--model', model,\n"
+        "                    '--output', out + '/' + command, '--quiet'])\n"
+        "          for command in ('classify', 'pipeline')]\n"
+        "assert codes == [0, 0, 0], codes\n"
     )
     src = str(Path(outbreakmon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", script, str(stream), str(model),
-                             str(tmp_path / "o")],
+    result = subprocess.run([sys.executable, "-c", script, str(labeled), str(model),
+                             str(stream), str(tmp_path / "o")],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "o" / "pipeline" / "manifest.json").is_file()
+    # the file holds exactly the model the in-process trainer produces
+    trained = train_from_labeled(load_labeled_set(lines), TrainingConfig())
+    loaded = load_model(model)
+    assert (loaded.weights, loaded.bias) == (trained.weights, trained.bias)
+    assert loaded.training_meta == trained.training_meta
+    assert all(type(w) is float for w in loaded.weights)
 
 
 def test_model_written_into_new_directory(tmp_path):

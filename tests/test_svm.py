@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -44,6 +45,9 @@ ORACLE_FIXTURES = [
 ]
 
 BIG_INT = "1" + "0" * 400  # a JSON integer that float() overflows
+
+# sha256 of the model file that default training on labeled_lines() saves
+GOLDEN_MODEL_SHA256 = "1de71bcbbc8b139a41636253c95561e61862dfaf7b54893fcd9f83473b736cd4"
 
 TIGHT = TrainingConfig(C=1.0, tolerance=1e-10, max_epochs=20000, seed=42)
 
@@ -288,6 +292,16 @@ class TestModelFile:
         assert loaded.training_meta == trained.training_meta
         assert loaded.vectorizer == trained.vectorizer
 
+    def test_final_objective_is_a_python_float(self, trained):
+        assert type(trained.training_meta.final_objective) is float
+
+    def test_default_training_writes_the_golden_model_file(self, tmp_path):
+        # Frozen bytes: any change to the shuffle's random() stream, its
+        # Fisher-Yates loop or the order of a training sum shows up here.
+        path = tmp_path / "model.json"
+        save_model(train_from_labeled(load_labeled_set(labeled_lines()), TrainingConfig()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
+
     def test_same_seed_byte_identical_files(self, tmp_path):
         examples = load_labeled_set(labeled_lines(30, 30))
         paths = []
@@ -451,7 +465,8 @@ def test_trained_model_does_not_depend_on_builtin_sum(tmp_path, monkeypatch):
 
 class TestTrainingConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"C": 0.0}, {"C": -1.0}, {"tolerance": 0.0}, {"max_epochs": 0}]
+        "kwargs", [{"C": 0.0}, {"C": -1.0}, {"tolerance": 0.0}, {"max_epochs": 0},
+                   {"C": math.inf}, {"seed": -1}]
     )
     def test_invalid_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
