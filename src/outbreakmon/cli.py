@@ -63,6 +63,9 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "outbreakmon-manifest"
 MANIFEST_VERSION = 1
 
+# Distinct texts whose verdicts run_classify keeps before it starts over.
+SCORE_MEMO_LIMIT = 2**16
+
 
 @dataclass
 class PipelineConfig:
@@ -240,11 +243,20 @@ def run_classify(cfg: PipelineConfig) -> dict:
         raise FileNotFoundError("no model file configured")
     model = load_model(cfg.model_path)
     corpus = _load_corpus_file(cfg.input_path, cfg.strictness, "input")
-    relevant = tuple(
-        record
-        for record in corpus
-        if predict(model, vectorize(model.vectorizer, record.text)) == 1
-    )
+    # A verdict depends on the text alone, and retweets repeat a text word for
+    # word, so each distinct text is scored once. The memo starts over at
+    # SCORE_MEMO_LIMIT entries, which keeps its memory bounded on any stream.
+    verdicts: dict[str, bool] = {}
+    relevant = []
+    for record in corpus:
+        verdict = verdicts.get(record.text)
+        if verdict is None:
+            if len(verdicts) >= SCORE_MEMO_LIMIT:
+                verdicts.clear()
+            verdict = predict(model, vectorize(model.vectorizer, record.text)) == 1
+            verdicts[record.text] = verdict
+        if verdict:
+            relevant.append(record)
     out_path = cfg.output_dir / RELEVANT_NAME
     write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
     log.info("classify: %d read, %d relevant, %d irrelevant -> %s",

@@ -3,6 +3,12 @@
 Matching is word-boundary aligned over normalized text, so "salmonellosis"
 does not match the phrase "salmonella". Any single phrase hit retains the
 record (logical OR over the set).
+
+Most records of a keyword-tracked stream match nothing, so ``matches`` first
+looks for each phrase's anchor (its longest normalized token) in the
+lowercased text and skips normalization when none is there. The skip is
+exact: every token of ``normalize_text(text)`` is a substring of
+``text.lower()``, so a text holding no anchor cannot hold any phrase.
 """
 from __future__ import annotations
 
@@ -36,17 +42,23 @@ class KeywordSet:
     phrases: tuple[str, ...]
     # each phrase normalized and wrapped in single spaces, for matches()
     padded: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # the longest token of each normalized phrase, deduplicated: a text whose
+    # lowercase form holds none of them matches no phrase
+    anchors: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
             raise ValueError("keyword set needs at least one phrase")
         padded = []
+        anchors: dict[str, None] = {}
         for phrase in self.phrases:
             normalized = normalize_text(phrase)
             if not normalized:
                 raise ValueError(f"phrase {phrase!r} is empty after normalization")
             padded.append(f" {normalized} ")
+            anchors[max(normalized.split(" "), key=len)] = None
         object.__setattr__(self, "padded", tuple(padded))
+        object.__setattr__(self, "anchors", tuple(anchors))
 
 
 def default_keywords() -> KeywordSet:
@@ -68,8 +80,15 @@ def matches(keywords: KeywordSet, text: str) -> bool:
     word-aligned token run.
 
     Normalized text is tokens joined by single spaces, so with a space on
-    each side a token run is exactly a substring.
+    each side a token run is exactly a substring. A text whose lowercase form
+    holds no anchor is not normalized at all (see the module docstring).
     """
+    lowered = text.lower()
+    for anchor in keywords.anchors:
+        if anchor in lowered:
+            break
+    else:
+        return False
     padded = f" {normalize_text(text)} "
     for phrase in keywords.padded:
         if phrase in padded:

@@ -1,8 +1,10 @@
 import json
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from outbreakmon import cli
 from outbreakmon.cli import (
     DAILY_CSV_NAME,
     EXIT_IO,
@@ -18,8 +20,9 @@ from outbreakmon.cli import (
     main,
 )
 from outbreakmon.corpus import load_corpus
-from outbreakmon.svm import load_model
+from outbreakmon.svm import load_model, predict
 from outbreakmon.timeline import builtin_cdc_timeline, parse_timeline_file, validate_timeline
+from outbreakmon.vectorizer import vectorize
 
 from oracles import brute_bucket
 from synthdata import (
@@ -226,6 +229,68 @@ class TestClassify:
         assert code == EXIT_MODEL
         assert "training_meta.C must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestScoreMemo:
+    """run_classify scores each distinct text once; the output must not show it."""
+
+    @pytest.fixture()
+    def repeat_stream(self, tmp_path):
+        # retweet-like: a few texts, relevant and decoy, each repeated verbatim
+        texts = RELEVANT_TEMPLATES[:4] + DECOY_TEMPLATES[:3]
+        rng = random.Random(8)
+        base = datetime(2015, 9, 10, tzinfo=timezone.utc)
+        return write_lines(tmp_path / "repeats.jsonl", [
+            record_line(f"x{i}", base + timedelta(minutes=i), rng.choice(texts))
+            for i in range(60)])
+
+    @staticmethod
+    def classify(tmp_path, model_file, stream):
+        out = tmp_path / "o"
+        assert main(["classify", "--input", str(stream), "--model", str(model_file),
+                     "--output", str(out), "--quiet"]) == EXIT_OK
+        return (out / RELEVANT_NAME).read_bytes()
+
+    @staticmethod
+    def memo_free_relevant(model_file, stream):
+        model = load_model(model_file)
+        with stream.open(encoding="utf-8") as fh:
+            corpus = load_corpus(fh)
+        kept = [r for r in corpus if predict(model, vectorize(model.vectorizer, r.text)) == 1]
+        assert 0 < len(kept) < len(corpus)
+        return "".join(r.to_line() + "\n" for r in kept).encode("utf-8")
+
+    @staticmethod
+    def count_vectorize_calls(monkeypatch):
+        calls = []
+
+        def spy(vectorizer, text):
+            calls.append(text)
+            return vectorize(vectorizer, text)
+
+        monkeypatch.setattr(cli, "vectorize", spy)
+        return calls
+
+    def test_vectorizes_each_distinct_text_once(self, tmp_path, model_file, repeat_stream,
+                                                monkeypatch):
+        calls = self.count_vectorize_calls(monkeypatch)
+        self.classify(tmp_path, model_file, repeat_stream)
+        with repeat_stream.open(encoding="utf-8") as fh:
+            texts = [r.text for r in load_corpus(fh)]
+        assert len(calls) == len(set(texts)) == 7
+        assert len(texts) == 60
+
+    def test_output_equals_scoring_every_record(self, tmp_path, model_file, repeat_stream):
+        assert self.classify(tmp_path, model_file, repeat_stream) \
+            == self.memo_free_relevant(model_file, repeat_stream)
+
+    def test_output_unchanged_when_the_memo_starts_over(self, tmp_path, model_file,
+                                                        repeat_stream, monkeypatch):
+        monkeypatch.setattr(cli, "SCORE_MEMO_LIMIT", 2)
+        calls = self.count_vectorize_calls(monkeypatch)
+        assert self.classify(tmp_path, model_file, repeat_stream) \
+            == self.memo_free_relevant(model_file, repeat_stream)
+        assert 7 < len(calls) < 60
 
 
 class TestReport:

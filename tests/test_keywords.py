@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreakmon import keywords as keywords_module
 from outbreakmon.corpus import Corpus, TweetRecord
 from outbreakmon.errors import ParseError
 from outbreakmon.keywords import (
@@ -71,6 +72,21 @@ class TestMatches:
     def test_multiword_phrase_needs_contiguity(self):
         assert not matches(default_keywords(), "fat brand boy")
         assert matches(default_keywords(), "so the fat boy brand thing is real")
+
+    def test_anchors_are_the_longest_token_of_each_phrase(self):
+        assert default_keywords().anchors == (
+            "salmonella", "contaminated", "williamson", "brand", "cucumbers")
+        assert KeywordSet(phrases=("a bb", "BB!", "cc dd")).anchors == ("bb", "cc")
+
+    def test_text_without_an_anchor_is_not_normalized(self, monkeypatch):
+        keywords = default_keywords()
+        calls = []
+        monkeypatch.setattr(keywords_module, "normalize_text",
+                            lambda text: calls.append(text) or normalize_text(text))
+        assert not matches(keywords, "I love tacos")
+        assert calls == []
+        assert matches(keywords, "Fat Boy BRAND recall")
+        assert calls == ["Fat Boy BRAND recall"]
 
     def test_ampersand_brand_phrase(self):
         assert matches(default_keywords(), "Recall: Andrew & Williamson Fresh Produce cucumbers!")
@@ -157,10 +173,14 @@ def test_matches_invariant_under_case_and_padding(text, pad_left, pad_right):
 
 
 # Phrase words and their near misses, glued to arbitrary Unicode so that hits,
-# word-boundary misses and exotic separators all occur.
+# word-boundary misses and exotic separators all occur. The near misses hold a
+# phrase's anchor without matching it, and the last three characters change
+# length or form under lower(), so matches' anchor prefilter is tested at its
+# edge.
 _PHRASE_WORDS = ["Salmonella", "salmonellosis", "POONA", "tainted", "contaminated",
                  "Cucumbers", "andrew", "&", "Williamson", "fresh", "produce", "fat",
-                 "boy", "Brand", "mexican", " ", "!"]
+                 "boy", "Brand", "mexican", " ", "!", "Williamsons", "salmonella_",
+                 "BRANDS", "cucumbers&co", "\u0130", "\u1e9e", "\u212a"]
 _texts = st.lists(st.one_of(st.text(), st.sampled_from(_PHRASE_WORDS)), max_size=12).map("".join)
 _keyword_sets = st.one_of(
     st.just(default_keywords()),
@@ -175,6 +195,13 @@ def test_filter_keeps_exactly_the_window_oracle_matches(keywords, texts):
     corpus = Corpus(tuple(record(i, text) for i, text in enumerate(texts)))
     expected = tuple(r for r in corpus.records if brute_phrase_match(keywords.phrases, r.text))
     assert filter_corpus(corpus, keywords).records == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(keywords=_keyword_sets, text=_texts)
+def test_anchor_prefilter_changes_no_verdict(keywords, text):
+    padded = f" {normalize_text(text)} "
+    assert matches(keywords, text) == any(p in padded for p in keywords.padded)
 
 
 @settings(max_examples=500, deadline=None)
