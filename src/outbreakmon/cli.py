@@ -61,7 +61,7 @@ DAILY_CSV_NAME = "daily_counts.csv"
 MANIFEST_NAME = "manifest.json"
 
 MANIFEST_FORMAT = "outbreakmon-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 # Distinct texts whose verdicts run_classify keeps before it starts over.
 SCORE_MEMO_LIMIT = 2**16
@@ -189,6 +189,23 @@ def config_hash(cfg: PipelineConfig) -> str:
     }
     canonical = json.dumps(semantic, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def file_sha256(path: Path) -> str:
+    """sha256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def input_hashes(cfg: PipelineConfig) -> dict:
+    """sha256 of each input file's bytes, so the manifest tells two files
+    apart that share a path; None for the built-in keywords or timeline."""
+    roles = (("input", cfg.input_path), ("keywords", cfg.keywords_path),
+             ("model", cfg.model_path), ("timeline", cfg.timeline_path))
+    return {role: None if path is None else file_sha256(path) for role, path in roles}
 
 
 def run_filter(cfg: PipelineConfig) -> dict:
@@ -340,6 +357,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "version": MANIFEST_VERSION,
         "tool_version": __version__,
         "config_hash": config_hash(cfg),
+        "inputs": input_hashes(cfg),
         "stages": stages,
     }
     write_text_atomic(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from datetime import datetime, timedelta, timezone
@@ -21,7 +22,13 @@ from outbreakmon.cli import (
 )
 from outbreakmon.corpus import load_corpus
 from outbreakmon.svm import load_model, predict
-from outbreakmon.timeline import builtin_cdc_timeline, parse_timeline_file, validate_timeline
+from outbreakmon.keywords import DEFAULT_PHRASES
+from outbreakmon.timeline import (
+    builtin_cdc_timeline,
+    format_timeline,
+    parse_timeline_file,
+    validate_timeline,
+)
 from outbreakmon.vectorizer import vectorize
 
 from oracles import brute_bucket
@@ -364,6 +371,13 @@ class TestPipeline:
         assert stages["filter"]["kept"] == stages["classify"]["input_records"]
         assert stages["classify"]["relevant"] == stages["report"]["input_records"]
         assert stages["report"]["period_total"] == stages["report"]["input_records"]
+        assert manifest["version"] == 2
+        assert manifest["inputs"] == {
+            "input": hashlib.sha256(stream_file.read_bytes()).hexdigest(),
+            "keywords": None,
+            "model": hashlib.sha256(model_file.read_bytes()).hexdigest(),
+            "timeline": None,
+        }
 
     @pytest.mark.parametrize("strictness", [[], ["--strict"]])
     def test_year_below_1000_keeps_every_stage_count(self, tmp_path, model_file, strictness):
@@ -400,6 +414,47 @@ class TestPipeline:
         for name in (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
                      MANIFEST_NAME):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    @staticmethod
+    def manifest(tmp_path, out_name, model, stream):
+        out = tmp_path / out_name
+        assert main(["pipeline", "--input", str(stream), "--model", str(model),
+                     "--output", str(out), "--quiet"]) == EXIT_OK
+        return json.loads((out / MANIFEST_NAME).read_text())
+
+    def test_two_models_at_one_path_give_different_manifests(self, tmp_path, model_file,
+                                                            labeled_file, stream_file):
+        first = self.manifest(tmp_path, "a", model_file, stream_file)
+        assert main(["train", "--labeled", str(labeled_file), "--model", str(model_file),
+                     "--c-param", "0.1", "--quiet"]) == EXIT_OK
+        second = self.manifest(tmp_path, "b", model_file, stream_file)
+        assert first["config_hash"] == second["config_hash"]
+        assert first["inputs"]["model"] != second["inputs"]["model"]
+        assert first["inputs"]["input"] == second["inputs"]["input"]
+
+    def test_one_model_under_two_names_hashes_equal(self, tmp_path, model_file, stream_file):
+        copy = tmp_path / "renamed.json"
+        copy.write_bytes(model_file.read_bytes())
+        first = self.manifest(tmp_path, "a", model_file, stream_file)
+        second = self.manifest(tmp_path, "b", copy, stream_file)
+        assert first["config_hash"] != second["config_hash"]
+        assert first["inputs"] == second["inputs"]
+
+    def test_keyword_and_timeline_files_are_hashed_and_rerun_identically(
+            self, tmp_path, model_file, stream_file):
+        keywords = write_lines(tmp_path / "keywords.txt", DEFAULT_PHRASES)
+        timeline = tmp_path / "timeline.csv"
+        timeline.write_text(format_timeline(builtin_cdc_timeline()), encoding="utf-8")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["pipeline", "--input", str(stream_file), "--model", str(model_file),
+                         "--keywords", str(keywords), "--timeline", str(timeline),
+                         "--output", str(out), "--quiet"]) == EXIT_OK
+        manifest = (outs[0] / MANIFEST_NAME).read_bytes()
+        assert manifest == (outs[1] / MANIFEST_NAME).read_bytes()
+        inputs = json.loads(manifest)["inputs"]
+        assert inputs["keywords"] == hashlib.sha256(keywords.read_bytes()).hexdigest()
+        assert inputs["timeline"] == hashlib.sha256(timeline.read_bytes()).hexdigest()
 
     def test_never_mutates_input_files(self, tmp_path, model_file, stream_file):
         stream_before = stream_file.read_bytes()
