@@ -21,8 +21,8 @@ from outbreakmon.cli import (
     main,
 )
 from outbreakmon.corpus import load_corpus
-from outbreakmon.svm import load_model, predict
 from outbreakmon.keywords import DEFAULT_PHRASES
+from outbreakmon.svm import load_model, predict
 from outbreakmon.timeline import (
     builtin_cdc_timeline,
     format_timeline,
