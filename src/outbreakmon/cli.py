@@ -24,8 +24,15 @@ from .corpus import (
     write_text_atomic,
 )
 from .errors import ModelFileError, ParseError, TimelineError, TrainingDataError
-from .keywords import DEFAULT_PHRASES, default_keywords, filter_corpus, load_keywords
+from .keywords import (
+    DEFAULT_PHRASES,
+    KeywordSet,
+    default_keywords,
+    filter_corpus,
+    load_keywords,
+)
 from .svm import (
+    SvmModel,
     TrainingConfig,
     load_model,
     predict,
@@ -34,6 +41,7 @@ from .svm import (
     training_accuracy,
 )
 from .timeline import (
+    EventTimeline,
     builtin_cdc_timeline,
     bucket_counts,
     daily_frequency,
@@ -69,16 +77,17 @@ SCORE_MEMO_LIMIT = 2**16
 
 @dataclass
 class PipelineConfig:
-    """Resolved settings for one invocation (defaults < config file < flags)."""
+    """Resolved settings for one invocation (defaults < config file < flags).
+    Each field is named after its config key."""
 
-    input_path: Path | None = None
-    keywords_path: Path | None = None
-    labeled_path: Path | None = None
-    model_path: Path | None = None
-    timeline_path: Path | None = None
-    output_dir: Path = Path(".")
+    input: Path | None = None
+    keywords: Path | None = None
+    labeled: Path | None = None
+    model: Path | None = None
+    timeline: Path | None = None
+    output: Path = Path(".")
     strictness: str = "lenient"
-    C: float = 1.0
+    c: float = 1.0
     tolerance: float = 1e-4
     max_epochs: int = 1000
     seed: int = 42
@@ -87,23 +96,27 @@ class PipelineConfig:
     final_cutoff: date | None = None
 
 
-# config-file key -> (PipelineConfig field, converter from string)
+# config-file key (a PipelineConfig field) -> converter from string
 CONFIG_KEYS = {
-    "input": ("input_path", Path),
-    "keywords": ("keywords_path", Path),
-    "labeled": ("labeled_path", Path),
-    "model": ("model_path", Path),
-    "timeline": ("timeline_path", Path),
-    "output": ("output_dir", Path),
-    "strictness": ("strictness", str),
-    "c": ("C", float),
-    "tolerance": ("tolerance", float),
-    "max_epochs": ("max_epochs", int),
-    "seed": ("seed", int),
-    "daily_start": ("daily_start", date.fromisoformat),
-    "daily_end": ("daily_end", date.fromisoformat),
-    "final_cutoff": ("final_cutoff", date.fromisoformat),
+    "input": Path,
+    "keywords": Path,
+    "labeled": Path,
+    "model": Path,
+    "timeline": Path,
+    "output": Path,
+    "strictness": str,
+    "c": float,
+    "tolerance": float,
+    "max_epochs": int,
+    "seed": int,
+    "daily_start": date.fromisoformat,
+    "daily_end": date.fromisoformat,
+    "final_cutoff": date.fromisoformat,
 }
+
+# The files pipeline reads, and the settings that config_hash covers.
+PIPELINE_INPUTS = ("input", "keywords", "model", "timeline")
+HASHED_KEYS = PIPELINE_INPUTS + ("strictness", "daily_start", "daily_end", "final_cutoff")
 
 
 def parse_config_file(path: Path) -> dict[str, object]:
@@ -121,9 +134,8 @@ def parse_config_file(path: Path) -> dict[str, object]:
             value = value.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            field, convert = CONFIG_KEYS[key]
             try:
-                values[field] = convert(value)
+                values[key] = CONFIG_KEYS[key](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     return values
@@ -135,14 +147,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     the config file uses."""
     cfg = PipelineConfig()
     if getattr(args, "config", None):
-        for field, value in parse_config_file(Path(args.config)).items():
-            setattr(cfg, field, value)
-    for key, (field, _) in CONFIG_KEYS.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, field, value)
+        cfg = replace(cfg, **parse_config_file(Path(args.config)))
+    cfg = replace(cfg, **{key: getattr(args, key) for key in CONFIG_KEYS
+                          if getattr(args, key, None) is not None})
     if cfg.strictness not in STRICTNESS_MODES:
         raise ValueError(f"strictness must be strict or lenient, got {cfg.strictness!r}")
+    if cfg.daily_start and cfg.daily_end and cfg.daily_end < cfg.daily_start:
+        raise ValueError(f"inverted daily interval: {cfg.daily_start}..{cfg.daily_end}")
     return cfg
 
 
@@ -153,9 +164,9 @@ def _open_records(path: Path):
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
-def _load_corpus_file(path: Path | None, strictness: str, role: str):
+def _load_corpus_file(path: Path | None, strictness: str):
     if path is None:
-        raise FileNotFoundError(f"no {role} file configured")
+        raise FileNotFoundError("no input file configured")
     with _open_records(path) as fh:
         return load_corpus(fh, strictness)
 
@@ -167,26 +178,31 @@ def _load_keyword_set(path: Path | None):
         return load_keywords(fh)
 
 
-def _load_timeline(path: Path | None):
+def _load_model(path: Path | None):
     if path is None:
-        return builtin_cdc_timeline()
-    with _open_records(path) as fh:
-        return parse_timeline_file(fh)
+        raise FileNotFoundError("no model file configured")
+    return load_model(path)
+
+
+def _load_timeline(path: Path | None):
+    """Read and validate a timeline file, or take the built-in one."""
+    if path is None:
+        timeline = builtin_cdc_timeline()
+    else:
+        with _open_records(path) as fh:
+            timeline = parse_timeline_file(fh)
+    violations = validate_timeline(timeline)
+    if violations:
+        raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
+    return timeline
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    """Hash of the pipeline-semantic settings (output location excluded, so
-    reruns into different directories produce identical manifests)."""
-    semantic = {
-        "input": str(cfg.input_path) if cfg.input_path else None,
-        "keywords": str(cfg.keywords_path) if cfg.keywords_path else None,
-        "model": str(cfg.model_path) if cfg.model_path else None,
-        "timeline": str(cfg.timeline_path) if cfg.timeline_path else None,
-        "strictness": cfg.strictness,
-        "daily_start": cfg.daily_start.isoformat() if cfg.daily_start else None,
-        "daily_end": cfg.daily_end.isoformat() if cfg.daily_end else None,
-        "final_cutoff": cfg.final_cutoff.isoformat() if cfg.final_cutoff else None,
-    }
+    """Hash of the pipeline-semantic settings as typed (output location
+    excluded, so reruns into different directories produce identical
+    manifests)."""
+    semantic = {key: None if getattr(cfg, key) is None else str(getattr(cfg, key))
+                for key in HASHED_KEYS}
     canonical = json.dumps(semantic, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -203,16 +219,14 @@ def file_sha256(path: Path) -> str:
 def input_hashes(cfg: PipelineConfig) -> dict:
     """sha256 of each input file's bytes, so the manifest tells two files
     apart that share a path; None for the built-in keywords or timeline."""
-    roles = (("input", cfg.input_path), ("keywords", cfg.keywords_path),
-             ("model", cfg.model_path), ("timeline", cfg.timeline_path))
-    return {role: None if path is None else file_sha256(path) for role, path in roles}
+    return {key: None if getattr(cfg, key) is None else file_sha256(getattr(cfg, key))
+            for key in PIPELINE_INPUTS}
 
 
-def run_filter(cfg: PipelineConfig) -> dict:
-    corpus = _load_corpus_file(cfg.input_path, cfg.strictness, "input")
-    keywords = _load_keyword_set(cfg.keywords_path)
+def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
+    corpus = _load_corpus_file(cfg.input, cfg.strictness)
     filtered = filter_corpus(corpus, keywords)
-    out_path = cfg.output_dir / FILTERED_NAME
+    out_path = cfg.output / FILTERED_NAME
     write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in filtered))
     kept, dropped = len(filtered), len(corpus) - len(filtered)
     log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
@@ -227,24 +241,24 @@ def run_filter(cfg: PipelineConfig) -> dict:
 
 
 def run_train(cfg: PipelineConfig) -> dict:
-    if cfg.labeled_path is None:
+    if cfg.labeled is None:
         raise FileNotFoundError("no labeled training file configured")
-    if cfg.model_path is None:
+    if cfg.model is None:
         raise FileNotFoundError("no model output path configured")
-    with _open_records(cfg.labeled_path) as fh:
+    with _open_records(cfg.labeled) as fh:
         examples = load_labeled_set(fh)
     negative, positive = class_counts(examples)
     train_config = TrainingConfig(
-        C=cfg.C, tolerance=cfg.tolerance, max_epochs=cfg.max_epochs, seed=cfg.seed
+        C=cfg.c, tolerance=cfg.tolerance, max_epochs=cfg.max_epochs, seed=cfg.seed
     )
     model = train_from_labeled(examples, train_config)
-    save_model(model, cfg.model_path)
+    save_model(model, cfg.model)
     accuracy = training_accuracy(model, examples)
     log.info(
         "train: %d negative / %d positive examples, %d epochs, "
         "final objective %.6g, training accuracy %.4f -> %s",
         negative, positive, model.training_meta.epochs_run,
-        model.training_meta.final_objective, accuracy, cfg.model_path,
+        model.training_meta.final_objective, accuracy, cfg.model,
     )
     return {
         "examples": len(examples),
@@ -255,11 +269,8 @@ def run_train(cfg: PipelineConfig) -> dict:
     }
 
 
-def run_classify(cfg: PipelineConfig) -> dict:
-    if cfg.model_path is None:
-        raise FileNotFoundError("no model file configured")
-    model = load_model(cfg.model_path)
-    corpus = _load_corpus_file(cfg.input_path, cfg.strictness, "input")
+def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
+    corpus = _load_corpus_file(cfg.input, cfg.strictness)
     # A verdict depends on the text alone, and retweets repeat a text word for
     # word, so each distinct text is scored once. The memo starts over at
     # SCORE_MEMO_LIMIT entries, which keeps its memory bounded on any stream.
@@ -274,7 +285,7 @@ def run_classify(cfg: PipelineConfig) -> dict:
             verdicts[record.text] = verdict
         if verdict:
             relevant.append(record)
-    out_path = cfg.output_dir / RELEVANT_NAME
+    out_path = cfg.output / RELEVANT_NAME
     write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
     log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
              len(corpus), len(relevant), len(corpus) - len(relevant), out_path)
@@ -287,19 +298,8 @@ def run_classify(cfg: PipelineConfig) -> dict:
     }
 
 
-def run_report(cfg: PipelineConfig) -> dict:
-    if (
-        cfg.daily_start is not None
-        and cfg.daily_end is not None
-        and cfg.daily_end < cfg.daily_start
-    ):
-        raise ValueError(f"inverted daily interval: {cfg.daily_start}..{cfg.daily_end}")
-    corpus = _load_corpus_file(cfg.input_path, cfg.strictness, "input")
-    timeline = _load_timeline(cfg.timeline_path)
-    violations = validate_timeline(timeline)
-    if violations:
-        raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
-
+def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
+    corpus = _load_corpus_file(cfg.input, cfg.strictness)
     tweets = corpus.records
     excluded = 0
     if cfg.final_cutoff is not None:
@@ -309,7 +309,7 @@ def run_report(cfg: PipelineConfig) -> dict:
 
     report = bucket_counts(timeline, tweets)
     period_table = format_period_report(report)
-    write_text_atomic(cfg.output_dir / PERIOD_CSV_NAME, period_table)
+    write_text_atomic(cfg.output / PERIOD_CSV_NAME, period_table)
 
     tweet_days = [t.timestamp.date() for t in tweets]
     start = cfg.daily_start or (min(tweet_days) if tweet_days else None)
@@ -319,7 +319,7 @@ def run_report(cfg: PipelineConfig) -> dict:
         series = []
     else:
         series = daily_frequency(tweets, start, end)
-    write_text_atomic(cfg.output_dir / DAILY_CSV_NAME, format_daily_counts(series))
+    write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
 
     sys.stdout.write(period_table)
     log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
@@ -337,20 +337,14 @@ def run_report(cfg: PipelineConfig) -> dict:
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    # Validate the full configuration before any stage writes anything.
-    for role, path in (("input", cfg.input_path), ("model", cfg.model_path)):
-        if path is None:
-            raise FileNotFoundError(f"no {role} file configured")
-        if not Path(path).exists():
-            raise FileNotFoundError(f"{role} file does not exist: {path}")
-    for role, path in (("keywords", cfg.keywords_path), ("timeline", cfg.timeline_path)):
-        if path is not None and not Path(path).exists():
-            raise FileNotFoundError(f"{role} file does not exist: {path}")
-
+    # Load every small input before any stage writes anything.
+    keywords = _load_keyword_set(cfg.keywords)
+    model = _load_model(cfg.model)
+    timeline = _load_timeline(cfg.timeline)
     stages = {
-        "filter": run_filter(cfg),
-        "classify": run_classify(replace(cfg, input_path=cfg.output_dir / FILTERED_NAME)),
-        "report": run_report(replace(cfg, input_path=cfg.output_dir / RELEVANT_NAME)),
+        "filter": run_filter(cfg, keywords),
+        "classify": run_classify(replace(cfg, input=cfg.output / FILTERED_NAME), model),
+        "report": run_report(replace(cfg, input=cfg.output / RELEVANT_NAME), timeline),
     }
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -361,16 +355,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "stages": stages,
     }
     write_text_atomic(
-        cfg.output_dir / MANIFEST_NAME,
+        cfg.output / MANIFEST_NAME,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
-    log.info("pipeline complete; manifest -> %s", cfg.output_dir / MANIFEST_NAME)
+    log.info("pipeline complete; manifest -> %s", cfg.output / MANIFEST_NAME)
     return manifest
 
 
 def _add_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
     """A flag that sets config key ``key``, converted as in a config file."""
-    parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key][1], **kwargs)
+    parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key], **kwargs)
 
 
 def _add_strict_flag(parser: argparse.ArgumentParser, **kwargs) -> None:
@@ -474,17 +468,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         if args.command == "filter":
-            run_filter(cfg)
+            run_filter(cfg, _load_keyword_set(cfg.keywords))
         elif args.command == "train":
             run_train(cfg)
         elif args.command == "classify":
-            run_classify(cfg)
+            run_classify(cfg, _load_model(cfg.model))
         elif args.command == "report":
-            run_report(cfg)
-        elif args.command == "pipeline":
+            run_report(cfg, _load_timeline(cfg.timeline))
+        else:
             run_pipeline(cfg)
-        else:  # unreachable: argparse rejects unknown commands
-            parser.error(f"unknown command {args.command!r}")
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO

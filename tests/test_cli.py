@@ -406,6 +406,36 @@ class TestPipeline:
         assert code == EXIT_IO
         assert not (out / FILTERED_NAME).exists()
 
+    @pytest.mark.parametrize("failure, code", [
+        ("model", EXIT_MODEL), ("timeline", EXIT_TIMELINE), ("keywords", EXIT_PARSE),
+        ("daily", EXIT_IO)])
+    def test_failed_run_leaves_the_previous_outputs(self, tmp_path, model_file, stream_file,
+                                                   failure, code):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--input", str(stream_file), "--model", str(model_file),
+                     "--output", str(out), "--quiet"]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(before) == 5
+
+        broken = tmp_path / "broken"
+        broken.write_text({
+            "model": "not a model",
+            "timeline": "date,kind,new_ill,cumulative_ill,states,note\n"
+                        "2015-09-04,announcement,,341,,\n2015-09-09,announcement,,300,,\n",
+            "keywords": "# only comments\n",
+            "daily": "",
+        }[failure], encoding="utf-8")
+        extra = {
+            "model": ["--model", str(broken)],
+            "timeline": ["--timeline", str(broken)],
+            "keywords": ["--keywords", str(broken)],
+            "daily": ["--daily-start", "2015-10-01", "--daily-end", "2015-09-01"],
+        }[failure]
+        other_stream = write_lines(tmp_path / "other.jsonl", stream_lines(100, seed=3))
+        assert main(["pipeline", "--input", str(other_stream), "--model", str(model_file),
+                     "--output", str(out), "--quiet", *extra]) == code
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_rerun_is_byte_identical(self, tmp_path, model_file, stream_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

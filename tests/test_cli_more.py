@@ -1,4 +1,5 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -239,19 +240,22 @@ def test_every_config_key_has_a_flag_case():
     assert set(FLAG_CASES) == set(CONFIG_KEYS)
 
 
+def test_config_keys_are_the_config_fields():
+    assert [field.name for field in dataclasses.fields(PipelineConfig)] == list(CONFIG_KEYS)
+
+
 @pytest.mark.parametrize("key", sorted(FLAG_CASES))
 def test_config_file_and_flag_set_the_same_field_and_the_flag_wins(tmp_path, key):
     command, flag_args, value, other, parsed = FLAG_CASES[key]
-    field = CONFIG_KEYS[key][0]
 
     def config(file_value, *argv):
         path = tmp_path / "run.conf"
         path.write_text(f"{key} = {file_value}\n", encoding="utf-8")
         args = _build_parser().parse_args([command, "--config", str(path), *argv])
-        return getattr(build_config(args), field)
+        return getattr(build_config(args), key)
 
-    assert getattr(PipelineConfig(), field) != parsed
+    assert getattr(PipelineConfig(), key) != parsed
     assert config(value) == parsed
     assert getattr(build_config(_build_parser().parse_args([command, *flag_args])),
-                   field) == parsed
+                   key) == parsed
     assert config(other, *flag_args) == parsed
