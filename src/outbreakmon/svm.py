@@ -280,7 +280,7 @@ def save_model(model: SvmModel, destination: str | Path) -> None:
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "token_rules": model.vectorizer.token_rules,
+        "token_rules": TOKEN_RULES_V1,
         "vocabulary": {
             "corpus_size": vocab.corpus_size,
             "terms": [[term, vocab.doc_frequency[term]] for term in index_to_term],
@@ -374,6 +374,6 @@ def load_model(source: str | Path) -> SvmModel:
     return SvmModel(
         weights=[_finite_number(x, "weight") for x in weights],
         bias=_finite_number(bias, "bias"),
-        vectorizer=TfIdfModel(vocabulary=vocabulary, token_rules=token_rules),
+        vectorizer=TfIdfModel(vocabulary=vocabulary),
         training_meta=meta,
     )

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import TrainingDataError
 
-# Tokenization policy identifier; stored in fitted models so a model file is
+# Tokenization policy identifier; stored in model files so a model file is
 # self-describing. Any change to tokenize() must introduce a new identifier.
 TOKEN_RULES_V1 = "lower/alnum-split/minlen2/dropnum"
 
@@ -98,10 +98,9 @@ class SparseVector:
 
 @dataclass(frozen=True)
 class TfIdfModel:
-    """A fitted vocabulary plus the tokenization policy it was fitted with."""
+    """A vocabulary fitted on texts tokenized by ``tokenize`` (TOKEN_RULES_V1)."""
 
     vocabulary: Vocabulary
-    token_rules: str = TOKEN_RULES_V1
 
 
 def build_vocabulary(training_docs: Iterable[Sequence[str]]) -> Vocabulary:
@@ -133,7 +132,7 @@ def inverse_document_frequency(vocab: Vocabulary, term: str) -> float:
 def fit_tfidf(texts: Iterable[str]) -> TfIdfModel:
     """Tokenize the training texts and fit the vocabulary."""
     vocab = build_vocabulary(tokenize(text) for text in texts)
-    return TfIdfModel(vocabulary=vocab, token_rules=TOKEN_RULES_V1)
+    return TfIdfModel(vocabulary=vocab)
 
 
 def vectorize(model: TfIdfModel, text: str) -> SparseVector:
@@ -143,8 +142,6 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
     within-tweet frequency maximum); entries whose product is exactly zero
     are dropped.
     """
-    if model.token_rules != TOKEN_RULES_V1:
-        raise ValueError(f"unsupported token rules {model.token_rules!r}")
     counts: dict[str, int] = {}
     for token in tokenize(text):
         counts[token] = counts.get(token, 0) + 1

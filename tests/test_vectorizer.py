@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from outbreakmon import vectorizer
 from outbreakmon.errors import TrainingDataError
+from outbreakmon.svm import SvmModel, TrainingMeta, save_model
 from outbreakmon.vectorizer import (
     SparseVector,
-    TfIdfModel,
     TOKEN_RULES_V1,
     Vocabulary,
     build_vocabulary,
@@ -217,12 +218,6 @@ class TestVectorize:
         distinct_in_vocab = {"aa", "cc", "ff"}
         assert len(vector) <= len(distinct_in_vocab)
 
-    def test_unknown_token_rules_rejected(self):
-        model = fit_tfidf(["aa bb"])
-        stale = TfIdfModel(vocabulary=model.vocabulary, token_rules="legacy")
-        with pytest.raises(ValueError):
-            vectorize(stale, "aa")
-
 
 class TestSparseVector:
     def test_rejects_unsorted_indices(self):
@@ -260,6 +255,8 @@ class TestSparseVector:
         assert SparseVector(entries=tuple(enumerate(values))).squared_norm() == 1.0
 
 
-def test_token_rules_recorded_in_model():
-    model = fit_tfidf(["aa bb"])
-    assert model.token_rules == TOKEN_RULES_V1
+def test_token_rules_recorded_in_model(tmp_path):
+    model = SvmModel(weights=[0.5, -0.5], bias=0.0, vectorizer=fit_tfidf(["aa bb"]),
+                     training_meta=TrainingMeta(C=1.0, epochs_run=1, final_objective=0.0))
+    save_model(model, tmp_path / "model.json")
+    assert json.loads((tmp_path / "model.json").read_text())["token_rules"] == TOKEN_RULES_V1
