@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import date
@@ -21,6 +22,7 @@ from .corpus import (
     class_counts,
     load_corpus,
     load_labeled_set,
+    parse_date,
     write_text_atomic,
 )
 from .errors import ModelFileError, ParseError, TimelineError, TrainingDataError
@@ -109,13 +111,16 @@ CONFIG_KEYS = {
     "tolerance": float,
     "max_epochs": int,
     "seed": int,
-    "daily_start": date.fromisoformat,
-    "daily_end": date.fromisoformat,
-    "final_cutoff": date.fromisoformat,
+    "daily_start": parse_date,
+    "daily_end": parse_date,
+    "final_cutoff": parse_date,
 }
 
-# The files pipeline reads, and the settings that config_hash covers.
+# The files pipeline reads (by config key) and writes (in the output
+# directory), and the settings that config_hash covers.
 PIPELINE_INPUTS = ("input", "keywords", "model", "timeline")
+PIPELINE_OUTPUTS = (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
+                    MANIFEST_NAME)
 HASHED_KEYS = PIPELINE_INPUTS + ("strictness", "daily_start", "daily_end", "final_cutoff")
 
 
@@ -162,6 +167,16 @@ def _open_records(path: Path):
     undecodable bytes reach the parser as lone surrogates, which it rejects
     naming the line or row."""
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _refuse_to_replace(inputs, outputs) -> None:
+    """No command modifies its input files: refuse (exit 2) an output path
+    that names the same file as an input, before anything is written."""
+    for output in outputs:
+        for path in inputs:
+            if (path is not None and path.exists() and output.exists()
+                    and os.path.samefile(path, output)):
+                raise ValueError(f"output {output} would replace input file {path}")
 
 
 def _load_corpus_file(path: Path | None, strictness: str):
@@ -224,6 +239,7 @@ def input_hashes(cfg: PipelineConfig) -> dict:
 
 
 def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
+    _refuse_to_replace((cfg.input, cfg.keywords), [cfg.output / FILTERED_NAME])
     corpus = _load_corpus_file(cfg.input, cfg.strictness)
     filtered = filter_corpus(corpus, keywords)
     out_path = cfg.output / FILTERED_NAME
@@ -245,6 +261,7 @@ def run_train(cfg: PipelineConfig) -> dict:
         raise FileNotFoundError("no labeled training file configured")
     if cfg.model is None:
         raise FileNotFoundError("no model output path configured")
+    _refuse_to_replace([cfg.labeled], [cfg.model])
     with _open_records(cfg.labeled) as fh:
         examples = load_labeled_set(fh)
     negative, positive = class_counts(examples)
@@ -270,6 +287,7 @@ def run_train(cfg: PipelineConfig) -> dict:
 
 
 def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
+    _refuse_to_replace((cfg.input, cfg.model), [cfg.output / RELEVANT_NAME])
     corpus = _load_corpus_file(cfg.input, cfg.strictness)
     # A verdict depends on the text alone, and retweets repeat a text word for
     # word, so each distinct text is scored once. The memo starts over at
@@ -299,6 +317,8 @@ def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
 
 
 def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
+    _refuse_to_replace((cfg.input, cfg.timeline),
+                       [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
     corpus = _load_corpus_file(cfg.input, cfg.strictness)
     tweets = corpus.records
     excluded = 0
@@ -337,7 +357,9 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    # Load every small input before any stage writes anything.
+    # Check the outputs and load every small input before any stage writes.
+    _refuse_to_replace([getattr(cfg, key) for key in PIPELINE_INPUTS],
+                       [cfg.output / name for name in PIPELINE_OUTPUTS])
     keywords = _load_keyword_set(cfg.keywords)
     model = _load_model(cfg.model)
     timeline = _load_timeline(cfg.timeline)

@@ -17,7 +17,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -27,8 +27,9 @@ from .errors import ParseError, TrainingDataError
 log = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-# The exact shape of TIMESTAMP_FORMAT in ASCII digits.
-_TIMESTAMP_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# The exact shapes of a YYYY-MM-DD day and of TIMESTAMP_FORMAT in ASCII digits.
+_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_TIMESTAMP_SHAPE = re.compile(_DATE_SHAPE.pattern + r"T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
 STRICTNESS_MODES = ("strict", "lenient")
@@ -102,6 +103,19 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
         "form (expected e.g. 2015-09-04T12:00:00Z)",
         line_no,
     )
+
+
+def parse_date(raw: str) -> date:
+    """Parse a ``YYYY-MM-DD`` day in ASCII digits, the one date shape of the
+    command line, config files and timeline files.
+
+    Raises ValueError for any other shape (``date.fromisoformat`` alone
+    takes ``20150909`` and ``2015-W37-4`` from Python 3.11 on) and for an
+    impossible date such as 2015-02-30.
+    """
+    if not _DATE_SHAPE.fullmatch(raw):
+        raise ValueError(f"date {raw!r} is not in YYYY-MM-DD form")
+    return date.fromisoformat(raw)
 
 
 def _is_unicode(value: str) -> bool:

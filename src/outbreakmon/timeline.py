@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import TweetRecord, _is_unicode
+from .corpus import TweetRecord, _is_unicode, parse_date
 from .errors import TimelineError
 
 ILLNESS_ONSET = "illness_onset"
@@ -26,6 +27,8 @@ EVENT_KINDS = (ILLNESS_ONSET, ANNOUNCEMENT, RECALL, FINAL_ANNOUNCEMENT)
 BOUNDARY_KINDS = frozenset({ANNOUNCEMENT, FINAL_ANNOUNCEMENT})
 
 TIMELINE_HEADER = ("date", "kind", "new_ill", "cumulative_ill", "states", "note")
+# A count cell: empty, or a non-negative integer in ASCII digits.
+_COUNT_SHAPE = re.compile(r"[0-9]*")
 
 
 @dataclass(frozen=True)
@@ -208,21 +211,19 @@ def daily_frequency(
         day = tweet.timestamp.date()
         if start <= day <= end:
             counts[day] = counts.get(day, 0) + 1
-    series = []
-    day = start
-    while day <= end:
-        series.append((day, counts.get(day, 0)))
-        day += timedelta(days=1)
-    return series
+    # Step over day ordinals: adding a day to 9999-12-31 would overflow.
+    return [(day, counts.get(day, 0))
+            for day in map(date.fromordinal, range(start.toordinal(), end.toordinal() + 1))]
 
 
 def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
     """Read a timeline from CSV text with the canonical header row.
 
     Columns: date (YYYY-MM-DD), kind, new_ill, cumulative_ill, states
-    (integers or empty), note (free text). Raises TimelineError on any
-    malformed row, including one holding an undecodable byte (read with
-    ``errors="surrogateescape"``) or a lone surrogate.
+    (integers in ASCII digits, or empty), note (free text). Raises
+    TimelineError on any malformed row, including one holding an
+    undecodable byte (read with ``errors="surrogateescape"``) or a lone
+    surrogate.
     """
     rows = _unicode_rows(lines)
     try:
@@ -241,9 +242,12 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
             raise TimelineError(f"row {row_no}: expected {len(TIMELINE_HEADER)} columns")
         raw_date, kind, new_ill, cum_ill, states, note = (cell.strip() for cell in row)
         try:
-            event_date = date.fromisoformat(raw_date)
+            event_date = parse_date(raw_date)
         except ValueError:
             raise TimelineError(f"row {row_no}: bad date {raw_date!r}") from None
+        for cell in (new_ill, cum_ill, states):
+            if not _COUNT_SHAPE.fullmatch(cell):
+                raise TimelineError(f"row {row_no}: bad count {cell!r}")
         try:
             event = EventRecord(
                 date=event_date,

@@ -17,16 +17,19 @@ from outbreakmon.cli import (
     EXIT_PARSE,
     EXIT_TIMELINE,
     FILTERED_NAME,
+    PERIOD_CSV_NAME,
+    RELEVANT_NAME,
     PipelineConfig,
     _build_parser,
     build_config,
+    config_hash,
     main,
 )
 
 from outbreakmon.corpus import load_labeled_set
 from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
 
-from synthdata import labeled_lines, record_line, stream_lines
+from synthdata import RELEVANT_TEMPLATES, labeled_lines, record_line, stream_lines
 
 
 def _one_record_file(tmp_path):
@@ -259,3 +262,99 @@ def test_config_file_and_flag_set_the_same_field_and_the_flag_wins(tmp_path, key
     assert getattr(build_config(_build_parser().parse_args([command, *flag_args])),
                    key) == parsed
     assert config(other, *flag_args) == parsed
+
+
+def test_config_hash_is_pinned():
+    # every hashed setting set; the hex is the one manifests have always written
+    args = _build_parser().parse_args([
+        "pipeline", "--input", "in/stream.jsonl", "--keywords", "kw.txt",
+        "--model", "model.json", "--timeline", "tl.csv", "--strict",
+        "--daily-start", "2015-09-01", "--daily-end", "2015-10-20",
+        "--final-cutoff", "2016-03-31", "--output", "out"])
+    assert config_hash(build_config(args)) \
+        == "917e1296dd6993c69a72bf1fb001bad44a432792a787373d9b8a738c4a3a57ca"
+
+
+def _train(tmp_path):
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text("".join(line + "\n" for line in labeled_lines(20, 20)),
+                       encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", "--labeled", str(labeled), "--model", str(model),
+                 "--quiet"]) == EXIT_OK
+    return model
+
+
+# command -> (arguments whose output replaces the input o/<name>, <name>)
+REPLACING_RUNS = {
+    "filter": (["filter", "--input", "o/filtered.jsonl"], FILTERED_NAME),
+    "train": (["train", "--labeled", "o/l.jsonl", "--model", "o/../o/l.jsonl"], "l.jsonl"),
+    "classify": (["classify", "--input", "o/relevant.jsonl", "--model", "model.json"],
+                 RELEVANT_NAME),
+    "report": (["report", "--input", "o/period_counts.csv"], PERIOD_CSV_NAME),
+    "pipeline": (["pipeline", "--input", "o/relevant.jsonl", "--model", "model.json"],
+                 RELEVANT_NAME),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLACING_RUNS))
+def test_output_that_is_an_input_file_exits_2_before_any_write(tmp_path, monkeypatch,
+                                                                capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _train(tmp_path)
+    argv, name = REPLACING_RUNS[command]
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / name).write_text("".join(line + "\n" for line in labeled_lines(20, 20)),
+                            encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main([*argv, "--output", "o"]) == EXIT_IO
+    assert "would replace input file" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_record_on_the_last_representable_day_is_reported(tmp_path):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(record_line("a", datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+                                  RELEVANT_TEMPLATES[0]) + "\n", encoding="utf-8")
+    for command, extra in (("report", []), ("pipeline", ["--model", str(_train(tmp_path))])):
+        out = tmp_path / command
+        assert main([command, "--input", str(stream), "--output", str(out), "--quiet",
+                     *extra]) == EXIT_OK
+        assert (out / DAILY_CSV_NAME).read_text() == "date,count\n9999-12-31,1\n"
+
+
+# Date shapes Python 3.11's date.fromisoformat takes but YYYY-MM-DD excludes.
+NOT_YYYY_MM_DD = ["20150909", "2015-W37-4", "2015-252", "2015-09-09T00:00",
+                  "２０１５-09-09", "2015-9-9", "2015-02-30", ""]
+
+
+@pytest.mark.parametrize("raw", NOT_YYYY_MM_DD)
+def test_date_settings_take_only_yyyy_mm_dd(tmp_path, capsys, raw):
+    with pytest.raises(SystemExit) as excinfo:
+        _build_parser().parse_args(["report", "--daily-start", raw])
+    assert excinfo.value.code == EXIT_IO
+    config = tmp_path / "run.conf"
+    config.write_text(f"daily_end = {raw}\n", encoding="utf-8")
+    assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
+    assert "bad value for daily_end" in capsys.readouterr().err
+
+
+
+
+
+@pytest.mark.parametrize("date_cell, count_cell", [
+    *((raw, "7") for raw in NOT_YYYY_MM_DD if raw),
+    ("2015-09-04", "7_7"), ("2015-09-04", "٣"), ("2015-09-04", "+7"), ("2015-09-04", "-7"),
+    ("2015-09-04", "7.0"), ("2015-09-04", "0x7"),
+])
+def test_timeline_takes_only_yyyy_mm_dd_dates_and_ascii_digit_counts(
+        tmp_path, capsys, date_cell, count_cell):
+    timeline = tmp_path / "tl.csv"
+    timeline.write_text("date,kind,new_ill,cumulative_ill,states,note\n"
+                        f"{date_cell},announcement,,{count_cell},,\n", encoding="utf-8")
+    assert main(["report", "--input", str(_one_record_file(tmp_path)),
+                 "--timeline", str(timeline), "--output", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_TIMELINE
+    assert "row 2: bad" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -246,6 +246,10 @@ class TestDailyFrequency:
         with pytest.raises(ValueError):
             daily_frequency([], date(2015, 9, 2), date(2015, 9, 1))
 
+    def test_series_may_end_on_the_last_representable_day(self):
+        series = daily_frequency([], date(9999, 12, 30), date.max)
+        assert series == [(date(9999, 12, 30), 0), (date.max, 0)]
+
     def test_figure_range_has_fifty_days(self):
         series = daily_frequency([], date(2015, 9, 1), date(2015, 10, 20))
         assert len(series) == 50
