@@ -30,6 +30,11 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 # The exact shapes of a YYYY-MM-DD day and of TIMESTAMP_FORMAT in ASCII digits.
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _TIMESTAMP_SHAPE = re.compile(_DATE_SHAPE.pattern + r"T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# The one shape to_line writes, each string free of quotes, backslashes and
+# control characters: json.loads of such a line returns exactly the three groups.
+_CANONICAL_LINE = re.compile(
+    r'\{"id":"([^"\\\x00-\x1f]*)","timestamp":"([^"\\\x00-\x1f]*)",'
+    r'"text":"([^"\\\x00-\x1f]*)"\}\n?')
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
 STRICTNESS_MODES = ("strict", "lenient")
@@ -139,6 +144,8 @@ def _decode_line(line: str, line_no: int | None) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+    except RecursionError:
+        raise ParseError("invalid JSON (nested too deeply)", line_no) from None
     if not isinstance(obj, dict):
         raise ParseError("record is not an object", line_no)
     return obj
@@ -157,7 +164,14 @@ def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRe
                 raise ParseError(f"missing field {field!r}", line_no)
             if not isinstance(obj[field], str):
                 raise ParseError(f"field {field!r} must be a string", line_no)
+    return _record_from_fields(record_id, raw_timestamp, text, line_no)
 
+
+def _record_from_fields(
+    record_id: str, raw_timestamp: str, text: str, line_no: int | None
+) -> TweetRecord:
+    """The checks on a record's three string fields, in the same order
+    whether json.loads or _CANONICAL_LINE read them from the line."""
     # "not s or s.isspace()" equals "not s.strip()" and copies nothing
     if not record_id or record_id.isspace():
         raise ParseError("empty id", line_no)
@@ -165,8 +179,8 @@ def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRe
     if not text or text.isspace():
         raise ParseError("empty text", line_no)
     if not (record_id.isascii() and text.isascii()):
-        for field in ("id", "text"):
-            if not _is_unicode(obj[field]):
+        for field, value in (("id", record_id), ("text", text)):
+            if not _is_unicode(value):
                 raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
 
     return TweetRecord(id=record_id, timestamp=timestamp, text=text)
@@ -182,6 +196,11 @@ def parse_tweet_line(
     that is empty after trimming, and an id or text holding a lone
     surrogate. ``strict`` additionally rejects unknown fields.
     """
+    # a line in to_line's shape skips json.loads; a lone surrogate in it
+    # must still be reported as invalid UTF-8, as _decode_line does
+    canonical = _CANONICAL_LINE.fullmatch(line)
+    if canonical and _is_unicode(line):
+        return _record_from_fields(*canonical.groups(), line_no)
     return _record_from_object(_decode_line(line, line_no), line_no, strict)
 
 

@@ -307,6 +307,8 @@ def load_model(source: str | Path) -> SvmModel:
         payload = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"corrupt model file: {exc.msg}") from None
+    except RecursionError:
+        raise ModelFileError("corrupt model file: nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFileError("not a recognized model file")
     if payload.get("version") != MODEL_VERSION:

@@ -266,11 +266,16 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
 
 
 def _unicode_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """CSV rows numbered from 1; a row that no UTF-8 can encode is an error."""
-    for row_no, row in enumerate(csv.reader(lines), start=1):
-        if not all(map(_is_unicode, row)):
-            raise TimelineError(f"row {row_no}: invalid UTF-8")
-        yield row_no, row
+    """CSV rows numbered from 1; a row that no UTF-8 can encode, or that the
+    csv module refuses (a field over its size limit), is an error."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(lines), start=1):
+            if not all(map(_is_unicode, row)):
+                raise TimelineError(f"row {row_no}: invalid UTF-8")
+            yield row_no, row
+    except csv.Error as exc:
+        raise TimelineError(f"row {row_no + 1}: {exc}") from None
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

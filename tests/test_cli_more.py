@@ -13,6 +13,7 @@ from outbreakmon.cli import (
     CONFIG_KEYS,
     DAILY_CSV_NAME,
     EXIT_IO,
+    EXIT_MODEL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TIMELINE,
@@ -197,6 +198,45 @@ def test_invalid_utf8_in_labeled_file_exits_3(tmp_path):
     assert code == EXIT_PARSE
 
 
+# Nested past the recursion limit, where json.loads raises RecursionError.
+NESTED_TOO_DEEP = b'{"x":' + b"[" * 100_000
+
+
+def test_line_nested_too_deep_is_rejected_in_lenient_mode(tmp_path, capsys):
+    stream = _lines_file(tmp_path / "s.jsonl", _good_line("a"), NESTED_TOO_DEEP, _good_line("c"))
+    out = tmp_path / "o"
+    assert main(["filter", "--input", str(stream), "--output", str(out)]) == EXIT_OK
+    assert (out / FILTERED_NAME).read_bytes() == _good_line("a") + b"\n" + _good_line("c") + b"\n"
+    rejections = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("WARNING rejected")]
+    assert rejections == ["WARNING rejected line 2: invalid JSON (nested too deeply)"]
+
+
+def test_line_nested_too_deep_fails_strict_mode_with_its_line(tmp_path, capsys):
+    stream = _lines_file(tmp_path / "s.jsonl", _good_line("a"), NESTED_TOO_DEEP)
+    out = tmp_path / "o"
+    assert main(["filter", "--input", str(stream), "--output", str(out), "--strict"]) \
+        == EXIT_PARSE
+    assert "line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_labeled_line_nested_too_deep_exits_3(tmp_path, capsys):
+    labeled = _lines_file(tmp_path / "l.jsonl", NESTED_TOO_DEEP)
+    assert main(["train", "--labeled", str(labeled), "--model", str(tmp_path / "m.json"),
+                 "--quiet"]) == EXIT_PARSE
+    assert "line 1: invalid JSON (nested too deeply)" in capsys.readouterr().err
+
+
+def test_model_file_nested_too_deep_exits_5(tmp_path, capsys):
+    model = _lines_file(tmp_path / "m.json", NESTED_TOO_DEEP)
+    out = tmp_path / "o"
+    assert main(["classify", "--input", str(_one_record_file(tmp_path)), "--model", str(model),
+                 "--output", str(out), "--quiet"]) == EXIT_MODEL
+    assert "corrupt model file: nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _raise_oserror(*args, **kwargs):
     raise OSError("injected failure")
 
@@ -358,3 +398,18 @@ def test_timeline_takes_only_yyyy_mm_dd_dates_and_ascii_digit_counts(
                  "--quiet"]) == EXIT_TIMELINE
     assert "row 2: bad" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "pipeline"])
+def test_timeline_cell_over_the_csv_field_limit_exits_6_with_its_row(tmp_path, capsys, command):
+    timeline = tmp_path / "tl.csv"
+    timeline.write_text("date,kind,new_ill,cumulative_ill,states,note\n"
+                        "2015-09-04,announcement,,285,27,\n"
+                        f"2015-09-09,announcement,56,341,30,{'x' * 131_073}\n",
+                        encoding="utf-8")
+    model = ["--model", str(_train(tmp_path))] if command == "pipeline" else []
+    out = tmp_path / "o"
+    assert main([command, "--input", str(_one_record_file(tmp_path)), *model,
+                 "--timeline", str(timeline), "--output", str(out), "--quiet"]) == EXIT_TIMELINE
+    assert "row 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()

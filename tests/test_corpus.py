@@ -10,6 +10,8 @@ from outbreakmon.corpus import (
     TIMESTAMP_FORMAT,
     Corpus,
     TweetRecord,
+    _decode_line,
+    _record_from_object,
     class_counts,
     format_timestamp,
     load_corpus,
@@ -123,6 +125,82 @@ class TestParseTweetLine:
         line = make_line(text="salmonella \U0001f952")
         assert "\\ud83e\\udd52" in line
         assert parse_tweet_line(line).text == "salmonella \U0001f952"
+
+
+def _compact(obj):
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+# Ways to write one record's fields as a line. Only the compact ones with the
+# keys in to_line's order can take the canonical-line fast path; "unescaped"
+# splices the fields in raw, so quotes, backslashes and control characters
+# reach the parser as they are.
+_RENDERINGS = {
+    "compact": _compact,
+    "compact-newline": lambda obj: _compact(obj) + "\n",
+    "compact-crlf": lambda obj: _compact(obj) + "\r\n",
+    "compact-ascii": lambda obj: json.dumps(obj, separators=(",", ":")),
+    "json-dumps-defaults": json.dumps,
+    "reordered-keys": lambda obj: _compact(dict(reversed(obj.items()))),
+    "extra-field": lambda obj: _compact({**obj, "lang": "en"}),
+    "surrounding-whitespace": lambda obj: " " + _compact(obj) + " \n",
+    "unescaped": lambda obj: '{"id":"%s","timestamp":"%s","text":"%s"}' % tuple(obj.values()),
+}
+_FIELD = st.text(max_size=6, alphabet=st.one_of(
+    st.characters(max_codepoint=0x7f),
+    st.sampled_from('"\\\t\x7f\u2028\u00e9\u3000\U0001f952\ud83d\udcff ')))
+_TIMESTAMP = st.one_of(
+    st.sampled_from(["2015-09-04T12:00:00Z", "2015-02-30T12:00:00Z", "2015-9-4T1:2:3Z"]),
+    st.datetimes(timezones=st.just(timezone.utc)).map(format_timestamp),
+    _FIELD)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line_no
+
+
+@settings(max_examples=1000, deadline=None)
+@given(record_id=_FIELD, timestamp=_TIMESTAMP, text=_FIELD,
+       rendering=st.sampled_from(sorted(_RENDERINGS)), strict=st.booleans(),
+       line_no=st.sampled_from([None, 7]))
+@example(record_id="a", timestamp="2015-02-30T12:00:00Z", text="x", rendering="compact",
+         strict=True, line_no=7)
+@example(record_id="a", timestamp="2015-09-04T12:00:00Z", text=" \u3000", rendering="compact",
+         strict=False, line_no=7)
+@example(record_id="a", timestamp="2015-09-04T12:00:00Z", text="x\ud83d",
+         rendering="json-dumps-defaults", strict=False, line_no=7)
+@example(record_id="a\udcff", timestamp="2015-09-04T12:00:00Z", text="x",
+         rendering="compact", strict=False, line_no=7)
+@example(record_id="a", timestamp="2015-09-04T12:00:00Z", text="x\ty",
+         rendering="unescaped", strict=False, line_no=7)
+@example(record_id="a", timestamp="2015-09-04T12:00:00Z", text="x", rendering="compact-crlf",
+         strict=True, line_no=7)
+def test_parse_tweet_line_equals_the_full_json_parse(record_id, timestamp, text, rendering,
+                                                     strict, line_no):
+    line = _RENDERINGS[rendering]({"id": record_id, "timestamp": timestamp, "text": text})
+    assert _outcome(lambda: parse_tweet_line(line, line_no=line_no, strict=strict)) \
+        == _outcome(lambda: _record_from_object(_decode_line(line, line_no), line_no, strict))
+
+
+@pytest.mark.parametrize("line", [
+    GOOD_LINE,
+    GOOD_LINE + "\n",
+    _compact({"id": "t\u00e9", "timestamp": "2015-09-04T12:00:00Z",
+              "text": "salmonella \U0001f952\x7f\u2028 cucumbers"}),
+], ids=["ascii", "newline", "non-ascii"])
+def test_canonical_line_is_parsed_without_json_loads(monkeypatch, line):
+    expected = parse_tweet_line(line)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert parse_tweet_line(line, strict=True) == expected
+    with pytest.raises(AssertionError, match="json.loads called"):
+        parse_tweet_line(" " + line)
 
 
 class TestLoadCorpus:
