@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, TrainingDataError
 
@@ -30,10 +30,11 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 # The exact shapes of a YYYY-MM-DD day and of TIMESTAMP_FORMAT in ASCII digits.
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _TIMESTAMP_SHAPE = re.compile(_DATE_SHAPE.pattern + r"T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
-# The one shape to_line writes, each string free of quotes, backslashes and
-# control characters: json.loads of such a line returns exactly the three groups.
+# The one shape to_line writes, its timestamp in _TIMESTAMP_SHAPE and each
+# other string free of quotes, backslashes and control characters: json.loads
+# of such a line returns exactly the three groups.
 _CANONICAL_LINE = re.compile(
-    r'\{"id":"([^"\\\x00-\x1f]*)","timestamp":"([^"\\\x00-\x1f]*)",'
+    r'\{"id":"([^"\\\x00-\x1f]*)","timestamp":"(' + _TIMESTAMP_SHAPE.pattern + ')",'
     r'"text":"([^"\\\x00-\x1f]*)"\}\n?')
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
@@ -55,9 +56,9 @@ class TweetRecord:
         ``json.dumps`` of the three fields with ``ensure_ascii=False`` and
         compact separators, built from the string encoder that call uses.
         """
-        return ('{"id":' + encode_basestring(self.id)
-                + ',"timestamp":"' + format_timestamp(self.timestamp)
-                + '","text":' + encode_basestring(self.text) + "}")
+        return (f'{{"id":{encode_basestring(self.id)},'
+                f'"timestamp":"{format_timestamp(self.timestamp)}",'
+                f'"text":{encode_basestring(self.text)}}}')
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,22 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     other date shape is an error rather than a guess.
     """
     if isinstance(raw, str) and _TIMESTAMP_SHAPE.fullmatch(raw):
-        try:
-            # "+00:00", not "Z": Python 3.10's fromisoformat rejects "Z"
-            return datetime.fromisoformat(raw[:-1] + "+00:00")
-        except ValueError:
-            pass  # right shape, impossible date such as 2015-02-30
-    raise ParseError(
+        return _parse_shaped_timestamp(raw, line_no)
+    raise _timestamp_error(raw, line_no)
+
+
+def _parse_shaped_timestamp(raw: str, line_no: int | None) -> datetime:
+    """parse_timestamp of a string already known to be in _TIMESTAMP_SHAPE."""
+    try:
+        # "+00:00", not "Z": Python 3.10's fromisoformat rejects "Z"
+        return datetime.fromisoformat(raw[:-1] + "+00:00")
+    except ValueError:
+        # right shape, impossible date such as 2015-02-30
+        raise _timestamp_error(raw, line_no) from None
+
+
+def _timestamp_error(raw: object, line_no: int | None) -> ParseError:
+    return ParseError(
         f"timestamp {raw!r} is not in {TIMESTAMP_FORMAT.replace('%', '')} "
         "form (expected e.g. 2015-09-04T12:00:00Z)",
         line_no,
@@ -143,7 +154,9 @@ def _decode_line(line: str, line_no: int | None) -> dict:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+        # some messages end in a bare "at" ("Invalid control character at")
+        reason = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
+        raise ParseError(f"invalid JSON ({reason})", line_no) from None
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line_no) from None
     if not isinstance(obj, dict):
@@ -164,18 +177,21 @@ def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRe
                 raise ParseError(f"missing field {field!r}", line_no)
             if not isinstance(obj[field], str):
                 raise ParseError(f"field {field!r} must be a string", line_no)
-    return _record_from_fields(record_id, raw_timestamp, text, line_no)
+    return _record_from_fields(record_id, raw_timestamp, text, line_no, parse_timestamp)
 
 
 def _record_from_fields(
-    record_id: str, raw_timestamp: str, text: str, line_no: int | None
+    record_id: str, raw_timestamp: str, text: str, line_no: int | None,
+    parse_time: Callable[[str, int | None], datetime],
 ) -> TweetRecord:
     """The checks on a record's three string fields, in the same order
-    whether json.loads or _CANONICAL_LINE read them from the line."""
+    whether json.loads or _CANONICAL_LINE read them from the line.
+    ``parse_time`` is parse_timestamp, or _parse_shaped_timestamp when
+    _CANONICAL_LINE has already checked the timestamp's shape."""
     # "not s or s.isspace()" equals "not s.strip()" and copies nothing
     if not record_id or record_id.isspace():
         raise ParseError("empty id", line_no)
-    timestamp = parse_timestamp(raw_timestamp, line_no)
+    timestamp = parse_time(raw_timestamp, line_no)
     if not text or text.isspace():
         raise ParseError("empty text", line_no)
     if not (record_id.isascii() and text.isascii()):
@@ -183,7 +199,7 @@ def _record_from_fields(
             if not _is_unicode(value):
                 raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
 
-    return TweetRecord(id=record_id, timestamp=timestamp, text=text)
+    return TweetRecord(record_id, timestamp, text)
 
 
 def parse_tweet_line(
@@ -196,11 +212,12 @@ def parse_tweet_line(
     that is empty after trimming, and an id or text holding a lone
     surrogate. ``strict`` additionally rejects unknown fields.
     """
-    # a line in to_line's shape skips json.loads; a lone surrogate in it
-    # must still be reported as invalid UTF-8, as _decode_line does
+    # a line in to_line's shape skips json.loads and the second timestamp
+    # shape check; a lone surrogate in it must still be reported as invalid
+    # UTF-8, as _decode_line does
     canonical = _CANONICAL_LINE.fullmatch(line)
     if canonical and _is_unicode(line):
-        return _record_from_fields(*canonical.groups(), line_no)
+        return _record_from_fields(*canonical.groups(), line_no, _parse_shaped_timestamp)
     return _record_from_object(_decode_line(line, line_no), line_no, strict)
 
 

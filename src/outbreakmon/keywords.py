@@ -4,9 +4,16 @@ Matching is word-boundary aligned over normalized text, so "salmonellosis"
 does not match the phrase "salmonella". Any single phrase hit retains the
 record (logical OR over the set).
 
+A KeywordSet compiles its phrases into one pattern over lowercased text.
+Each phrase becomes its normalized tokens joined by runs of separators, a
+separator being any character but ``&`` and those ``str.isalnum()`` accepts
+(so ``_`` is one), and no alphanumeric or ``&`` may touch either end of the
+run. The pattern finds a phrase exactly when ``normalize_text`` would show
+it as a contiguous token run, without building the normalized text.
+
 Most records of a keyword-tracked stream match nothing, so ``matches`` first
 looks for each phrase's anchor (its longest normalized token) in the
-lowercased text and skips normalization when none is there. The skip is
+lowercased text and runs the pattern only when one is there. The skip is
 exact: every token of ``normalize_text(text)`` is a substring of
 ``text.lower()``, so a text holding no anchor cannot hold any phrase.
 """
@@ -33,6 +40,8 @@ DEFAULT_PHRASES = (
 # A maximal run of alphanumerics and ``&``: ``\w`` is exactly
 # ``str.isalnum()`` plus ``_``, and normalize_text removes ``_`` first.
 _WORD_RUN = re.compile(r"[\w&]+")
+# What lies between two tokens of normalized text: a run of anything else.
+_SEPARATORS = r"(?:[^\w&]|_)+"
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,8 @@ class KeywordSet:
     """A non-empty collection of non-empty keyword phrases."""
 
     phrases: tuple[str, ...]
-    # each phrase normalized and wrapped in single spaces, for matches()
-    padded: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # every phrase as a token run in lowercased text, for matches()
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
     # the longest token of each normalized phrase, deduplicated: a text whose
     # lowercase form holds none of them matches no phrase
     anchors: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -49,15 +58,21 @@ class KeywordSet:
     def __post_init__(self):
         if not self.phrases:
             raise ValueError("keyword set needs at least one phrase")
-        padded = []
+        runs: dict[str, None] = {}
         anchors: dict[str, None] = {}
         for phrase in self.phrases:
-            normalized = normalize_text(phrase)
-            if not normalized:
+            tokens = normalize_text(phrase).split()
+            if not tokens:
                 raise ValueError(f"phrase {phrase!r} is empty after normalization")
-            padded.append(f" {normalized} ")
-            anchors[max(normalized.split(" "), key=len)] = None
-        object.__setattr__(self, "padded", tuple(padded))
+            first, *rest = map(re.escape, tokens)
+            # no letter, digit or & may touch either end of the run; the
+            # check before it follows the first token, so that every branch
+            # starts with a literal the regex engine can skip ahead to
+            runs[rf"{first}(?<![^\W_]{first})(?<!&{first})"
+                 + "".join(_SEPARATORS + token for token in rest)] = None
+            anchors[max(tokens, key=len)] = None
+        pattern = rf"(?:{'|'.join(runs)})(?![^\W_])(?!&)"
+        object.__setattr__(self, "pattern", re.compile(pattern))
         object.__setattr__(self, "anchors", tuple(anchors))
 
 
@@ -79,20 +94,14 @@ def matches(keywords: KeywordSet, text: str) -> bool:
     """True iff the normalized text contains some phrase as a contiguous,
     word-aligned token run.
 
-    Normalized text is tokens joined by single spaces, so with a space on
-    each side a token run is exactly a substring. A text whose lowercase form
-    holds no anchor is not normalized at all (see the module docstring).
+    The text is not normalized: the keyword set's pattern runs on its
+    lowercase form, and only when that holds an anchor (see the module
+    docstring).
     """
     lowered = text.lower()
     for anchor in keywords.anchors:
         if anchor in lowered:
-            break
-    else:
-        return False
-    padded = f" {normalize_text(text)} "
-    for phrase in keywords.padded:
-        if phrase in padded:
-            return True
+            return keywords.pattern.search(lowered) is not None
     return False
 
 

@@ -165,6 +165,14 @@ def brute_phrase_match(phrases, text):
     return any(tuple(brute_normalize(p).split()) in windows for p in phrases)
 
 
+def padded_phrase_match(phrases, text):
+    """A phrase hit as a substring test: normalized text is tokens joined by
+    single spaces, so with a space on each side a token run is exactly a
+    substring."""
+    padded = f" {brute_normalize(text)} "
+    return any(f" {brute_normalize(p)} " in padded for p in phrases)
+
+
 # ---------------------------------------------------------------------------
 # Period bucketing and daily counting by linear scan
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import os
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from outbreakmon.corpus import (
+    _CANONICAL_LINE,
     TIMESTAMP_FORMAT,
     Corpus,
     TweetRecord,
@@ -201,6 +202,77 @@ def test_canonical_line_is_parsed_without_json_loads(monkeypatch, line):
     assert parse_tweet_line(line, strict=True) == expected
     with pytest.raises(AssertionError, match="json.loads called"):
         parse_tweet_line(" " + line)
+
+
+# Strings that _CANONICAL_LINE admits as they are: anything but a quote, a
+# backslash or a control character, blanks included; the field adds lone
+# surrogates.
+_CANONICAL_CHARS = st.one_of(
+    st.characters(blacklist_characters='"\\', blacklist_categories=("Cc", "Cs")),
+    st.sampled_from("\x7f\x85\u2028\u3000 "))
+_CANONICAL_FIELD = st.text(max_size=8, alphabet=st.one_of(
+    _CANONICAL_CHARS, st.sampled_from("\ud83d\udcff")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_id=_CANONICAL_FIELD, text=_CANONICAL_FIELD, newline=st.sampled_from(["", "\n"]),
+       timestamp=st.one_of(
+           st.datetimes(min_value=datetime(1, 1, 1), timezones=st.just(timezone.utc))
+           .map(format_timestamp),
+           st.sampled_from(["2015-02-30T12:00:00Z", "2015-09-04T24:00:00Z"])))
+def test_accepted_canonical_line_is_its_own_to_line(record_id, timestamp, text, newline):
+    line = '{"id":"%s","timestamp":"%s","text":"%s"}%s' % (record_id, timestamp, text, newline)
+    assert _CANONICAL_LINE.fullmatch(line)
+    try:
+        record = parse_tweet_line(line)
+    except ParseError:
+        return
+    assert record.to_line() == line.rstrip("\n")
+
+
+def _misshapen(instant, how):
+    """A timestamp near ``instant`` that is not in TIMESTAMP_FORMAT's shape."""
+    stamp = format_timestamp(instant)
+    if how == "full-width-digits":
+        return stamp.translate({ord("0") + i: 0xFF10 + i for i in range(10)})
+    if how == "lower-case-separators":
+        return stamp.lower()
+    if how == "non-padded":
+        return (f"{instant.year}-{instant.month}-{instant.day}"
+                f"T{instant.hour}:{instant.minute}:{instant.second}Z")
+    # an impossible date in the right shape: February 30, or month 13
+    return stamp[:8] + "30" + stamp[10:] if instant.month == 2 else stamp[:5] + "13" + stamp[7:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_id=st.text(_CANONICAL_CHARS, max_size=8).filter(str.strip),
+       text=st.text(_CANONICAL_CHARS, max_size=8).filter(str.strip),
+       instant=st.datetimes(min_value=datetime(1, 1, 1), timezones=st.just(timezone.utc)),
+       how=st.sampled_from(["full-width-digits", "lower-case-separators", "non-padded",
+                            "impossible-date"]),
+       line_no=st.sampled_from([None, 7]))
+@example(record_id="a", text="x", instant=datetime(2015, 2, 4, tzinfo=timezone.utc),
+         how="impossible-date", line_no=7)
+def test_misshapen_timestamp_fails_as_in_the_json_dumps_rendering(record_id, text, instant,
+                                                                  how, line_no):
+    timestamp = _misshapen(instant, how)
+    assume(timestamp != format_timestamp(instant))
+    obj = {"id": record_id, "timestamp": timestamp, "text": text}
+    outcome = _outcome(lambda: parse_tweet_line(_compact(obj), line_no=line_no))
+    assert outcome[0] == "ParseError"
+    assert outcome == _outcome(lambda: parse_tweet_line(json.dumps(obj), line_no=line_no))
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"id":"a\tb","timestamp":"2015-09-04T12:00:00Z","text":"x"}',
+     "Invalid control character at column 9"),
+    ("{not json", "Expecting property name enclosed in double quotes at column 2"),
+    ("", "Expecting value at column 1"),
+])
+def test_invalid_json_reason_names_the_column(line, reason):
+    with pytest.raises(ParseError) as caught:
+        parse_tweet_line(line, line_no=3)
+    assert (str(caught.value), caught.value.line_no) == (f"line 3: invalid JSON ({reason})", 3)
 
 
 class TestLoadCorpus:
