@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     STRICTNESS_MODES,
+    _is_unicode,
     class_counts,
     load_corpus,
     load_labeled_set,
@@ -45,12 +46,13 @@ from .svm import (
 from .timeline import (
     EventTimeline,
     builtin_cdc_timeline,
-    bucket_counts,
     daily_frequency,
+    day_counts,
     format_daily_counts,
     format_period_report,
     format_timeline,
     parse_timeline_file,
+    period_counts,
     validate_timeline,
 )
 from .vectorizer import vectorize
@@ -127,8 +129,10 @@ HASHED_KEYS = PIPELINE_INPUTS + ("strictness", "daily_start", "daily_end", "fina
 def parse_config_file(path: Path) -> dict[str, object]:
     """Read a flat ``key = value`` config file into converted values."""
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_records(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if not _is_unicode(raw):
+                raise ValueError(f"{path}:{line_no}: invalid UTF-8")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -163,7 +167,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _open_records(path: Path):
-    """Open a record, keyword or timeline file for line-by-line parsing;
+    """Open a record, keyword, timeline or config file for line-by-line parsing;
     undecodable bytes reach the parser as lone surrogates, which it rejects
     naming the line or row."""
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
@@ -320,30 +324,28 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
     _refuse_to_replace((cfg.input, cfg.timeline),
                        [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
     corpus = _load_corpus_file(cfg.input, cfg.strictness)
-    tweets = corpus.records
-    excluded = 0
+    # Every table depends on a record's UTC day alone, so one histogram is kept.
+    days = day_counts(corpus)
     if cfg.final_cutoff is not None:
-        bounded = tuple(t for t in tweets if t.timestamp.date() <= cfg.final_cutoff)
-        excluded = len(tweets) - len(bounded)
-        tweets = bounded
+        days = {day: count for day, count in days.items() if day <= cfg.final_cutoff}
+    excluded = len(corpus) - sum(days.values())
 
-    report = bucket_counts(timeline, tweets)
+    report = period_counts(timeline, days)
     period_table = format_period_report(report)
     write_text_atomic(cfg.output / PERIOD_CSV_NAME, period_table)
 
-    tweet_days = [t.timestamp.date() for t in tweets]
-    start = cfg.daily_start or (min(tweet_days) if tweet_days else None)
-    end = cfg.daily_end or (max(tweet_days) if tweet_days else None)
+    start = cfg.daily_start or min(days, default=None)
+    end = cfg.daily_end or max(days, default=None)
     if start is None or end is None or end < start:
         # no data and no explicit range, or one bound beyond the data: header only
         series = []
     else:
-        series = daily_frequency(tweets, start, end)
+        series = daily_frequency(days, start, end)
     write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
 
     sys.stdout.write(period_table)
     log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
-             "%d daily rows", len(tweets), len(report.rows), excluded, len(series))
+             "%d daily rows", report.total, len(report.rows), excluded, len(series))
     return {
         "input_records": len(corpus),
         "rejected_lines": corpus.rejected_count,

@@ -3,8 +3,10 @@
 Periods are half-open intervals keyed to announcement dates at midnight UTC:
 a tweet belongs to period k when boundary_k <= t < boundary_{k+1}; anything
 before the first announcement is the pre-period, anything on or after the
-last boundary falls in the final (open-ended) period. Recall and onset
-events ride along as annotations and never bound a period.
+last boundary falls in the final (open-ended) period. So a tweet's period,
+daily row and final-cutoff test depend only on its UTC date, and the report
+reads every table off one per-day histogram (``day_counts``). Recall and
+onset events ride along as annotations and never bound a period.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import io
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import TweetRecord, _is_unicode, parse_date
@@ -121,11 +123,8 @@ def builtin_cdc_timeline() -> EventTimeline:
     return EventTimeline(events=tuple(events))
 
 
-def _boundaries(timeline: EventTimeline) -> list[datetime]:
-    bounds = [
-        datetime(e.date.year, e.date.month, e.date.day, tzinfo=timezone.utc)
-        for e in timeline.announcements()
-    ]
+def _boundaries(timeline: EventTimeline) -> list[date]:
+    bounds = [e.date for e in timeline.announcements()]
     if not bounds:
         raise TimelineError("timeline has no announcement events")
     # bisect needs sorted boundaries; an unvalidated timeline must fail loudly
@@ -134,22 +133,30 @@ def _boundaries(timeline: EventTimeline) -> list[datetime]:
     return bounds
 
 
-def bucket_counts(timeline: EventTimeline, tweets: Iterable[TweetRecord]) -> PeriodReport:
-    """Count tweets per period; the pre-period gets its own leading row.
+def day_counts(tweets: Iterable[TweetRecord]) -> dict[date, int]:
+    """Tweets per calendar day of their timestamp, which ``parse_timestamp``
+    always returns in UTC."""
+    days: dict[date, int] = {}
+    for tweet in tweets:
+        day = tweet.timestamp.date()
+        days[day] = days.get(day, 0) + 1
+    return days
 
-    Every tweet lands in exactly one row, so row counts always sum to the
-    input size.
-    """
+
+def period_counts(timeline: EventTimeline, days: dict[date, int]) -> PeriodReport:
+    """Count a day histogram's tweets per period, pre-period first; every day
+    lands in exactly one row, so the rows sum to the histogram's total."""
     bounds = _boundaries(timeline)
     counts = [0] * (len(bounds) + 1)
-    for tweet in tweets:
-        counts[bisect_right(bounds, tweet.timestamp)] += 1
-    dates = [b.date() for b in bounds]
-    rows = [PeriodRow(start=None, end=dates[0], count=counts[0])]
-    for k, start in enumerate(dates):
-        end = dates[k + 1] if k + 1 < len(dates) else None
-        rows.append(PeriodRow(start=start, end=end, count=counts[k + 1]))
-    return PeriodReport(rows=tuple(rows))
+    for day, count in days.items():
+        counts[bisect_right(bounds, day)] += count
+    # row k runs from boundary k-1 (None: the pre-period) to boundary k (None: open)
+    return PeriodReport(rows=tuple(map(PeriodRow, [None, *bounds], [*bounds, None], counts)))
+
+
+def bucket_counts(timeline: EventTimeline, tweets: Iterable[TweetRecord]) -> PeriodReport:
+    """Count tweets per period (``period_counts`` of their ``day_counts``)."""
+    return period_counts(timeline, day_counts(tweets))
 
 
 def validate_timeline(timeline: EventTimeline) -> list[str]:
@@ -196,23 +203,13 @@ def validate_timeline(timeline: EventTimeline) -> list[str]:
     return violations
 
 
-def daily_frequency(
-    tweets: Iterable[TweetRecord], start: date, end: date
-) -> list[tuple[date, int]]:
-    """Per-calendar-day tweet counts over [start, end], zero-filled.
-
-    A tweet's day is the date of its timestamp, which ``parse_timestamp``
-    always returns in UTC.
-    """
+def daily_frequency(days: dict[date, int], start: date, end: date) -> list[tuple[date, int]]:
+    """Per-calendar-day tweet counts over [start, end] from a ``day_counts``
+    histogram, zero-filled."""
     if end < start:
         raise ValueError(f"inverted interval: {start}..{end}")
-    counts: dict[date, int] = {}
-    for tweet in tweets:
-        day = tweet.timestamp.date()
-        if start <= day <= end:
-            counts[day] = counts.get(day, 0) + 1
     # Step over day ordinals: adding a day to 9999-12-31 would overflow.
-    return [(day, counts.get(day, 0))
+    return [(day, days.get(day, 0))
             for day in map(date.fromordinal, range(start.toordinal(), end.toordinal() + 1))]
 
 

@@ -201,5 +201,7 @@ def brute_daily(instants, start: date, end: date):
     day = start
     while day <= end:
         rows.append((day, sum(1 for t in instants if t.astimezone(timezone.utc).date() == day)))
+        if day == end:  # the day after 9999-12-31 does not exist
+            break
         day = day + timedelta(days=1)
     return rows

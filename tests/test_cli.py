@@ -355,6 +355,30 @@ class TestReport:
         period_rows = (out / PERIOD_CSV_NAME).read_text().splitlines()
         assert period_rows[-1] == "2016-03-18,,1"
 
+    def test_final_cutoff_trims_the_daily_table_and_its_span(self, tmp_path, model_file):
+        instants = [datetime(2016, 3, day, 12, tzinfo=timezone.utc) for day in (20, 20, 25)]
+        instants.append(datetime(2016, 4, 2, tzinfo=timezone.utc))
+        stream = write_lines(tmp_path / "s.jsonl", [
+            record_line(f"r{i}", instant, RELEVANT_TEMPLATES[0])
+            for i, instant in enumerate(instants)])
+        cutoff = ["--final-cutoff", "2016-03-31", "--quiet"]
+        out = tmp_path / "report"
+        assert main(["report", "--input", str(stream), "--output", str(out), *cutoff]) == EXIT_OK
+        daily = (out / DAILY_CSV_NAME).read_text().splitlines()
+        # the default span ends on the last record day on or before the cutoff
+        assert (len(daily), daily[1], daily[-1]) == (1 + 6, "2016-03-20,2", "2016-03-25,1")
+        assert main(["report", "--input", str(stream), "--output", str(out), *cutoff,
+                     "--daily-end", "2016-04-05"]) == EXIT_OK
+        assert "2016-04-02,0" in (out / DAILY_CSV_NAME).read_text().splitlines()
+
+        out = tmp_path / "pipeline"
+        assert main(["pipeline", "--input", str(stream), "--model", str(model_file),
+                     "--output", str(out), *cutoff]) == EXIT_OK
+        report = json.loads((out / MANIFEST_NAME).read_text())["stages"]["report"]
+        assert report["input_records"] == 4  # every record was classified relevant
+        assert report["excluded_after_cutoff"] == 1
+        assert (report["daily_days"], report["daily_total"]) == (6, 3)
+
 
 class TestPipeline:
     def test_end_to_end_artifacts_and_manifest(self, tmp_path, model_file, stream_file):
@@ -518,6 +542,12 @@ class TestConfigFile:
         config.write_text("inptu = x.jsonl\n", encoding="utf-8")
         assert main(["filter", "--config", str(config), "--quiet"]) == EXIT_IO
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_bytes(b"# settings\nfinal_cutoff = 2016-03-31 \xff\n")
+        assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
+        assert f"bad arguments: {config}:2: invalid UTF-8" in capsys.readouterr().err
 
     def test_training_keys(self, tmp_path, labeled_file):
         model_path = tmp_path / "m.json"

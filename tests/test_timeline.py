@@ -3,6 +3,8 @@ from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from outbreakmon.corpus import TweetRecord
 from outbreakmon.errors import TimelineError
@@ -16,10 +18,12 @@ from outbreakmon.timeline import (
     bucket_counts,
     builtin_cdc_timeline,
     daily_frequency,
+    day_counts,
     format_daily_counts,
     format_period_report,
     format_timeline,
     parse_timeline_file,
+    period_counts,
     validate_timeline,
 )
 
@@ -230,7 +234,7 @@ class TestValidateTimeline:
 class TestDailyFrequency:
     def test_zero_fill(self):
         tweets = [record(i, utc(2015, 9, 4, 10)) for i in range(3)]
-        series = daily_frequency(tweets, date(2015, 9, 3), date(2015, 9, 5))
+        series = daily_frequency(day_counts(tweets), date(2015, 9, 3), date(2015, 9, 5))
         assert series == [
             (date(2015, 9, 3), 0),
             (date(2015, 9, 4), 3),
@@ -238,20 +242,20 @@ class TestDailyFrequency:
         ]
 
     def test_empty_input(self):
-        series = daily_frequency([], date(2015, 9, 1), date(2015, 9, 10))
+        series = daily_frequency({}, date(2015, 9, 1), date(2015, 9, 10))
         assert len(series) == 10
         assert all(count == 0 for _, count in series)
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
-            daily_frequency([], date(2015, 9, 2), date(2015, 9, 1))
+            daily_frequency({}, date(2015, 9, 2), date(2015, 9, 1))
 
     def test_series_may_end_on_the_last_representable_day(self):
-        series = daily_frequency([], date(9999, 12, 30), date.max)
+        series = daily_frequency({}, date(9999, 12, 30), date.max)
         assert series == [(date(9999, 12, 30), 0), (date.max, 0)]
 
     def test_figure_range_has_fifty_days(self):
-        series = daily_frequency([], date(2015, 9, 1), date(2015, 10, 20))
+        series = daily_frequency({}, date(2015, 9, 1), date(2015, 10, 20))
         assert len(series) == 50
 
     def test_agrees_with_brute_scan(self):
@@ -261,10 +265,59 @@ class TestDailyFrequency:
             for i in range(10_000)
         ]
         start, end = date(2015, 9, 1), date(2015, 10, 20)
-        series = daily_frequency(tweets, start, end)
+        series = daily_frequency(day_counts(tweets), start, end)
         assert series == brute_daily([t.timestamp for t in tweets], start, end)
         inside = sum(1 for t in tweets if start <= t.timestamp.date() <= end)
         assert sum(c for _, c in series) == inside
+
+
+_EDGE_DAYS = (date.min, date(2015, 9, 4), date(2016, 3, 18), date(2016, 3, 31), date.max)
+_DAYS = st.one_of(st.sampled_from(_EDGE_DAYS), st.dates())
+
+
+@st.composite
+def _report_case(draw):
+    """Announcement dates, record instants (midnight and the last second of a
+    day among them), a cutoff or None, and a daily window of up to 81 days
+    around a drawn day, clipped to the calendar."""
+    bounds = sorted(draw(st.lists(_DAYS, min_size=1, max_size=5, unique=True)))
+    instants = draw(st.lists(st.builds(
+        lambda day, second: utc(day.year, day.month, day.day) + timedelta(seconds=second),
+        st.one_of(_DAYS, st.sampled_from(bounds)),
+        st.one_of(st.sampled_from((0, 86399)), st.integers(0, 86399))), max_size=30))
+    cutoff = draw(st.one_of(st.none(), _DAYS, st.sampled_from(bounds)))
+    anchor = draw(st.one_of(_DAYS, st.sampled_from([t.date() for t in instants] or bounds)))
+    start = max(anchor.toordinal() - draw(st.integers(0, 40)), date.min.toordinal())
+    end = min(anchor.toordinal() + draw(st.integers(0, 40)), date.max.toordinal())
+    return bounds, instants, cutoff, date.fromordinal(start), date.fromordinal(end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_report_case())
+@example(case=([date.min, date(2015, 9, 4), date.max],
+               [utc(1, 1, 1), utc(2015, 9, 3, 23, 59, 59), utc(2015, 9, 4),
+                utc(9999, 12, 31), utc(9999, 12, 31, 23, 59, 59)],
+               None, date(9999, 12, 1), date.max))
+@example(case=([date(2015, 9, 4), date(2016, 3, 18)],
+               [utc(1, 1, 1), utc(2016, 3, 31, 23, 59, 59), utc(2016, 4, 1),
+                utc(9999, 12, 31, 23, 59, 59)],
+               date(2016, 3, 31), date.min, date(1, 2, 10)))
+@example(case=([date(2015, 9, 4)], [utc(1, 1, 1), utc(9999, 12, 31, 23, 59, 59)],
+               date.max, date(9999, 12, 31), date.max))
+@example(case=([date(2015, 9, 4)], [utc(1, 1, 1)], date.min, date.min, date.min))
+def test_cut_histogram_equals_brute_scans(case):
+    """The report's path (one histogram, cut at the final cutoff) against
+    per-instant scans of the instants dated on or before the cutoff."""
+    bounds, instants, cutoff, start, end = case
+    timeline = EventTimeline(events=tuple(EventRecord(date=d, kind=ANNOUNCEMENT)
+                                          for d in bounds))
+    days = day_counts(record(i, t) for i, t in enumerate(instants))
+    if cutoff is not None:
+        days = {day: count for day, count in days.items() if day <= cutoff}
+    kept = [t for t in instants if cutoff is None or t.date() <= cutoff]
+    report = period_counts(timeline, days)
+    assert [row.count for row in report.rows] == brute_bucket(bounds, kept)
+    assert daily_frequency(days, start, end) == brute_daily(kept, start, end)
 
 
 class TestTimelineFiles:
