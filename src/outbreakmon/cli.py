@@ -44,16 +44,15 @@ from .svm import (
     training_accuracy,
 )
 from .timeline import (
+    BUILTIN_CDC_TIMELINE_CSV,
     EventTimeline,
     builtin_cdc_timeline,
     daily_frequency,
     day_counts,
     format_daily_counts,
     format_period_report,
-    format_timeline,
     parse_timeline_file,
     period_counts,
-    validate_timeline,
 )
 from .vectorizer import vectorize
 
@@ -91,10 +90,10 @@ class PipelineConfig:
     timeline: Path | None = None
     output: Path = Path(".")
     strictness: str = "lenient"
-    c: float = 1.0
-    tolerance: float = 1e-4
-    max_epochs: int = 1000
-    seed: int = 42
+    c: float = TrainingConfig.C
+    tolerance: float = TrainingConfig.tolerance
+    max_epochs: int = TrainingConfig.max_epochs
+    seed: int = TrainingConfig.seed
     daily_start: date | None = None
     daily_end: date | None = None
     final_cutoff: date | None = None
@@ -204,16 +203,11 @@ def _load_model(path: Path | None):
 
 
 def _load_timeline(path: Path | None):
-    """Read and validate a timeline file, or take the built-in one."""
+    """Read a timeline file, or take the built-in one; both are validated."""
     if path is None:
-        timeline = builtin_cdc_timeline()
-    else:
-        with _open_records(path) as fh:
-            timeline = parse_timeline_file(fh)
-    violations = validate_timeline(timeline)
-    if violations:
-        raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
-    return timeline
+        return builtin_cdc_timeline()
+    with _open_records(path) as fh:
+        return parse_timeline_file(fh)
 
 
 def config_hash(cfg: PipelineConfig) -> str:
@@ -260,7 +254,7 @@ def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
     }
 
 
-def run_train(cfg: PipelineConfig) -> dict:
+def run_train(cfg: PipelineConfig) -> None:
     if cfg.labeled is None:
         raise FileNotFoundError("no labeled training file configured")
     if cfg.model is None:
@@ -281,13 +275,6 @@ def run_train(cfg: PipelineConfig) -> dict:
         negative, positive, model.training_meta.epochs_run,
         model.training_meta.final_objective, accuracy, cfg.model,
     )
-    return {
-        "examples": len(examples),
-        "negative": negative,
-        "positive": positive,
-        "epochs_run": model.training_meta.epochs_run,
-        "training_accuracy": accuracy,
-    }
 
 
 def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
@@ -421,10 +408,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fit the tf-idf vocabulary and train the relevance SVM")
     _add_flag(p, "--labeled", "labeled", help="labeled training file (label -1 or 1 per record)")
     _add_flag(p, "--model", "model", help="where to write the model file")
-    _add_flag(p, "--seed", "seed", help="shuffling seed (default 42)")
-    _add_flag(p, "--c-param", "c", help="soft-margin penalty C (default 1.0)")
-    _add_flag(p, "--tolerance", "tolerance", help="stopping tolerance (default 1e-4)")
-    _add_flag(p, "--max-epochs", "max_epochs", help="epoch cap (default 1000)")
+    _add_flag(p, "--seed", "seed", help=f"shuffling seed (default {TrainingConfig.seed})")
+    _add_flag(p, "--c-param", "c", help=f"soft-margin penalty C (default {TrainingConfig.C})")
+    _add_flag(p, "--tolerance", "tolerance",
+              help=f"stopping tolerance (default {TrainingConfig.tolerance})")
+    _add_flag(p, "--max-epochs", "max_epochs",
+              help=f"epoch cap (default {TrainingConfig.max_epochs})")
 
     p = sub.add_parser("classify", parents=[common],
                        help="keep only records the model predicts relevant")
@@ -481,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "timeline":
         if not args.print_builtin:
             parser.error("timeline: nothing to do (use --print-builtin)")
-        sys.stdout.write(format_timeline(builtin_cdc_timeline()))
+        sys.stdout.write(BUILTIN_CDC_TIMELINE_CSV)
         return EXIT_OK
     if args.command == "keywords":
         if not args.print_builtin:

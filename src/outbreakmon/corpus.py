@@ -26,8 +26,8 @@ from .errors import ParseError, TrainingDataError
 
 log = logging.getLogger(__name__)
 
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-# The exact shapes of a YYYY-MM-DD day and of TIMESTAMP_FORMAT in ASCII digits.
+# The exact shapes of a YYYY-MM-DD day and a YYYY-MM-DDTHH:MM:SSZ timestamp
+# in ASCII digits.
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _TIMESTAMP_SHAPE = re.compile(_DATE_SHAPE.pattern + r"T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 # The one shape to_line writes, its timestamp in _TIMESTAMP_SHAPE and each
@@ -115,8 +115,8 @@ def _parse_shaped_timestamp(raw: str, line_no: int | None) -> datetime:
 
 def _timestamp_error(raw: object, line_no: int | None) -> ParseError:
     return ParseError(
-        f"timestamp {raw!r} is not in {TIMESTAMP_FORMAT.replace('%', '')} "
-        "form (expected e.g. 2015-09-04T12:00:00Z)",
+        f"timestamp {raw!r} is not in YYYY-MM-DDTHH:MM:SSZ form "
+        "(expected e.g. 2015-09-04T12:00:00Z)",
         line_no,
     )
 

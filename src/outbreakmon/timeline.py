@@ -55,7 +55,9 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class EventTimeline:
-    """Date-ordered events; use validate_timeline() for the full contract."""
+    """Date-ordered events. parse_timeline_file returns only timelines that
+    pass validate_timeline; one constructed directly is unchecked until
+    validate_timeline runs on it."""
 
     events: tuple[EventRecord, ...]
 
@@ -81,46 +83,30 @@ class PeriodReport:
         return sum(row.count for row in self.rows)
 
 
+# The built-in fixture, exactly the CSV that ``timeline --print-builtin``
+# writes: the CDC timeline of the 2015 cucumber-linked Salmonella outbreak,
+# with cumulative case counts per announcement.
+BUILTIN_CDC_TIMELINE_CSV = """\
+date,kind,new_ill,cumulative_ill,states,note
+2015-07-03,illness_onset,,,,estimated first illness onset (identified retrospectively)
+2015-09-04,announcement,,285,27,initial public announcement
+2015-09-04,recall,,,,Andrew & Williamson Fresh Produce recall (Limited Edition brand)
+2015-09-09,announcement,56,341,30,
+2015-09-11,recall,,,,Custom Produce Sales recall (Fat Boy brand)
+2015-09-15,announcement,77,418,31,
+2015-09-22,announcement,140,558,33,
+2015-09-29,announcement,113,671,34,
+2015-10-06,announcement,61,732,35,
+2015-10-14,announcement,35,767,36,
+2015-11-19,announcement,71,838,38,
+2016-01-26,announcement,50,888,39,
+2016-03-18,final_announcement,19,907,40,
+"""
+
+
 def builtin_cdc_timeline() -> EventTimeline:
-    """The built-in fixture: the CDC timeline of the 2015 cucumber-linked
-    Salmonella outbreak, with cumulative case counts per announcement."""
-    announcements = [
-        # (date, new, cumulative, states)
-        (date(2015, 9, 4), None, 285, 27),
-        (date(2015, 9, 9), 56, 341, 30),
-        (date(2015, 9, 15), 77, 418, 31),
-        (date(2015, 9, 22), 140, 558, 33),
-        (date(2015, 9, 29), 113, 671, 34),
-        (date(2015, 10, 6), 61, 732, 35),
-        (date(2015, 10, 14), 35, 767, 36),
-        (date(2015, 11, 19), 71, 838, 38),
-        (date(2016, 1, 26), 50, 888, 39),
-        (date(2016, 3, 18), 19, 907, 40),
-    ]
-    events = [
-        EventRecord(
-            date=date(2015, 7, 3),
-            kind=ILLNESS_ONSET,
-            note="estimated first illness onset (identified retrospectively)",
-        )
-    ]
-    for i, (day, new, cum, states) in enumerate(announcements):
-        kind = FINAL_ANNOUNCEMENT if i == len(announcements) - 1 else ANNOUNCEMENT
-        note = "initial public announcement" if i == 0 else ""
-        events.append(
-            EventRecord(date=day, kind=kind, new_ill=new, cumulative_ill=cum,
-                        states=states, note=note)
-        )
-    events.append(
-        EventRecord(date=date(2015, 9, 4), kind=RECALL,
-                    note="Andrew & Williamson Fresh Produce recall (Limited Edition brand)")
-    )
-    events.append(
-        EventRecord(date=date(2015, 9, 11), kind=RECALL,
-                    note="Custom Produce Sales recall (Fat Boy brand)")
-    )
-    events.sort(key=lambda e: (e.date, e.kind not in BOUNDARY_KINDS))
-    return EventTimeline(events=tuple(events))
+    """The built-in fixture, read and validated like any timeline file."""
+    return parse_timeline_file(BUILTIN_CDC_TIMELINE_CSV.splitlines())
 
 
 def _boundaries(timeline: EventTimeline) -> list[date]:
@@ -220,7 +206,8 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
     (integers in ASCII digits, or empty), note (free text). Raises
     TimelineError on any malformed row, including one holding an
     undecodable byte (read with ``errors="surrogateescape"``) or a lone
-    surrogate.
+    surrogate, and on a timeline that fails validate_timeline, listing
+    every violation.
     """
     rows = _unicode_rows(lines)
     try:
@@ -259,7 +246,11 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
         events.append(event)
     if not events:
         raise TimelineError("timeline file has no events")
-    return EventTimeline(events=tuple(events))
+    timeline = EventTimeline(events=tuple(events))
+    violations = validate_timeline(timeline)
+    if violations:
+        raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
+    return timeline
 
 
 def _unicode_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -282,21 +273,6 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def format_timeline(timeline: EventTimeline) -> str:
-    """Render a timeline in the same CSV shape parse_timeline_file reads."""
-    return _csv_text(TIMELINE_HEADER, (
-        [
-            e.date.isoformat(),
-            e.kind,
-            "" if e.new_ill is None else e.new_ill,
-            "" if e.cumulative_ill is None else e.cumulative_ill,
-            "" if e.states is None else e.states,
-            e.note,
-        ]
-        for e in timeline.events
-    ))
 
 
 def format_period_report(report: PeriodReport) -> str:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from outbreakmon.corpus import (
     _CANONICAL_LINE,
-    TIMESTAMP_FORMAT,
     Corpus,
     TweetRecord,
     _decode_line,
@@ -25,6 +24,8 @@ from outbreakmon.errors import ParseError, TrainingDataError
 
 from oracles import fstring_timestamp
 
+# The documented timestamp shape, as a strptime format: the oracle of parse_timestamp.
+TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 GOOD_LINE = '{"id":"t1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella cucumber recall"}'
 
 
@@ -83,6 +84,13 @@ class TestParseTweetLine:
             else:
                 with pytest.raises(ParseError, match=message):
                     parse_tweet_line(line)
+
+    def test_timestamp_error_names_the_documented_shape(self):
+        expected = ("line 4: timestamp '2015-09-04 12:00:00' is not in YYYY-MM-DDTHH:MM:SSZ "
+                    "form (expected e.g. 2015-09-04T12:00:00Z)")
+        with pytest.raises(ParseError) as excinfo:
+            parse_tweet_line(make_line(timestamp="2015-09-04 12:00:00"), line_no=4)
+        assert str(excinfo.value) == expected
 
     def test_offset_timestamp_rejected(self):
         with pytest.raises(ParseError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from outbreakmon.cli import EXIT_OK, main
 from outbreakmon.corpus import TweetRecord
 from outbreakmon.errors import TimelineError
 from outbreakmon.timeline import (
     ANNOUNCEMENT,
+    BUILTIN_CDC_TIMELINE_CSV,
     FINAL_ANNOUNCEMENT,
     ILLNESS_ONSET,
     RECALL,
@@ -21,7 +24,6 @@ from outbreakmon.timeline import (
     day_counts,
     format_daily_counts,
     format_period_report,
-    format_timeline,
     parse_timeline_file,
     period_counts,
     validate_timeline,
@@ -321,10 +323,23 @@ def test_cut_histogram_equals_brute_scans(case):
 
 
 class TestTimelineFiles:
-    def test_round_trip_builtin(self):
-        text = format_timeline(builtin_cdc_timeline())
-        parsed = parse_timeline_file(text.splitlines())
-        assert parsed == builtin_cdc_timeline()
+    def test_print_builtin_stdout_is_pinned(self, capsys):
+        assert main(["timeline", "--print-builtin"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout == BUILTIN_CDC_TIMELINE_CSV
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+            "bfe0e62dacbc85e61b68215a4160cf98d5044f1005e6be948afcaa4417e6c241")
+
+    def test_parsing_validates_and_names_every_violation(self):
+        lines = ["date,kind,new_ill,cumulative_ill,states,note",
+                 "2015-09-09,announcement,,341,30,",
+                 "2015-09-04,announcement,10,300,31,"]
+        with pytest.raises(TimelineError) as excinfo:
+            parse_timeline_file(lines)
+        message = str(excinfo.value)
+        assert message.startswith("invalid timeline:\n  ")
+        assert "events out of order: 2015-09-04 after 2015-09-09" in message
+        assert "cumulative illnesses decrease from 341 to 300 at 2015-09-04" in message
 
     def test_missing_header(self):
         with pytest.raises(TimelineError, match="header"):
