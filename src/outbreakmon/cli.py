@@ -19,10 +19,11 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     STRICTNESS_MODES,
+    RecordStream,
     _is_unicode,
     class_counts,
-    load_corpus,
     load_labeled_set,
+    open_text_atomic,
     parse_date,
     write_text_atomic,
 )
@@ -31,14 +32,14 @@ from .keywords import (
     DEFAULT_PHRASES,
     KeywordSet,
     default_keywords,
-    filter_corpus,
     load_keywords,
+    matches,
 )
 from .svm import (
     SvmModel,
     TrainingConfig,
     load_model,
-    predict,
+    predict_text,
     save_model,
     train_from_labeled,
     training_accuracy,
@@ -54,7 +55,6 @@ from .timeline import (
     parse_timeline_file,
     period_counts,
 )
-from .vectorizer import vectorize
 
 log = logging.getLogger(__name__)
 
@@ -182,11 +182,10 @@ def _refuse_to_replace(inputs, outputs) -> None:
                 raise ValueError(f"output {output} would replace input file {path}")
 
 
-def _load_corpus_file(path: Path | None, strictness: str):
+def _open_input(path: Path | None):
     if path is None:
         raise FileNotFoundError("no input file configured")
-    with _open_records(path) as fh:
-        return load_corpus(fh, strictness)
+    return _open_records(path)
 
 
 def _load_keyword_set(path: Path | None):
@@ -237,17 +236,21 @@ def input_hashes(cfg: PipelineConfig) -> dict:
 
 
 def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
-    _refuse_to_replace((cfg.input, cfg.keywords), [cfg.output / FILTERED_NAME])
-    corpus = _load_corpus_file(cfg.input, cfg.strictness)
-    filtered = filter_corpus(corpus, keywords)
     out_path = cfg.output / FILTERED_NAME
-    write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in filtered))
-    kept, dropped = len(filtered), len(corpus) - len(filtered)
+    _refuse_to_replace((cfg.input, cfg.keywords), [out_path])
+    kept = 0
+    with _open_input(cfg.input) as fh, open_text_atomic(out_path) as out:
+        records = RecordStream(fh, cfg.strictness)
+        for record in records:
+            if matches(keywords, record.text):
+                out.write(record.output_line())
+                kept += 1
+    dropped = records.accepted - kept
     log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
-             len(corpus), corpus.rejected_count, kept, dropped, out_path)
+             records.accepted, records.rejected, kept, dropped, out_path)
     return {
-        "input_records": len(corpus),
-        "rejected_lines": corpus.rejected_count,
+        "input_records": records.accepted,
+        "rejected_lines": records.rejected,
         "kept": kept,
         "dropped": dropped,
         "output": FILTERED_NAME,
@@ -278,31 +281,32 @@ def run_train(cfg: PipelineConfig) -> None:
 
 
 def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
-    _refuse_to_replace((cfg.input, cfg.model), [cfg.output / RELEVANT_NAME])
-    corpus = _load_corpus_file(cfg.input, cfg.strictness)
+    out_path = cfg.output / RELEVANT_NAME
+    _refuse_to_replace((cfg.input, cfg.model), [out_path])
     # A verdict depends on the text alone, and retweets repeat a text word for
     # word, so each distinct text is scored once. The memo starts over at
     # SCORE_MEMO_LIMIT entries, which keeps its memory bounded on any stream.
     verdicts: dict[str, bool] = {}
-    relevant = []
-    for record in corpus:
-        verdict = verdicts.get(record.text)
-        if verdict is None:
-            if len(verdicts) >= SCORE_MEMO_LIMIT:
-                verdicts.clear()
-            verdict = predict(model, vectorize(model.vectorizer, record.text)) == 1
-            verdicts[record.text] = verdict
-        if verdict:
-            relevant.append(record)
-    out_path = cfg.output / RELEVANT_NAME
-    write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
+    relevant = 0
+    with _open_input(cfg.input) as fh, open_text_atomic(out_path) as out:
+        records = RecordStream(fh, cfg.strictness)
+        for record in records:
+            verdict = verdicts.get(record.text)
+            if verdict is None:
+                if len(verdicts) >= SCORE_MEMO_LIMIT:
+                    verdicts.clear()
+                verdict = verdicts[record.text] = predict_text(model, record.text) == 1
+            if verdict:
+                out.write(record.output_line())
+                relevant += 1
+    irrelevant = records.accepted - relevant
     log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
-             len(corpus), len(relevant), len(corpus) - len(relevant), out_path)
+             records.accepted, relevant, irrelevant, out_path)
     return {
-        "input_records": len(corpus),
-        "rejected_lines": corpus.rejected_count,
-        "relevant": len(relevant),
-        "irrelevant": len(corpus) - len(relevant),
+        "input_records": records.accepted,
+        "rejected_lines": records.rejected,
+        "relevant": relevant,
+        "irrelevant": irrelevant,
         "output": RELEVANT_NAME,
     }
 
@@ -310,12 +314,13 @@ def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
 def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
     _refuse_to_replace((cfg.input, cfg.timeline),
                        [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
-    corpus = _load_corpus_file(cfg.input, cfg.strictness)
     # Every table depends on a record's UTC day alone, so one histogram is kept.
-    days = day_counts(corpus)
+    with _open_input(cfg.input) as fh:
+        records = RecordStream(fh, cfg.strictness)
+        days = day_counts(records)
     if cfg.final_cutoff is not None:
         days = {day: count for day, count in days.items() if day <= cfg.final_cutoff}
-    excluded = len(corpus) - sum(days.values())
+    excluded = records.accepted - sum(days.values())
 
     report = period_counts(timeline, days)
     period_table = format_period_report(report)
@@ -334,8 +339,8 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
     log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
              "%d daily rows", report.total, len(report.rows), excluded, len(series))
     return {
-        "input_records": len(corpus),
-        "rejected_lines": corpus.rejected_count,
+        "input_records": records.accepted,
+        "rejected_lines": records.rejected,
         "excluded_after_cutoff": excluded,
         "periods": len(report.rows),
         "period_total": report.total,

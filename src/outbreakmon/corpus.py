@@ -7,7 +7,7 @@ carry ``label`` (integer -1 or +1). Unknown fields are ignored in lenient
 mode and rejected in strict mode. A line that is not valid UTF-8, or whose
 id or text holds a lone surrogate, is malformed like any other bad line.
 
-Also home to ``write_text_atomic``, the one writer behind every output file.
+Also home to ``open_text_atomic``, the one writer behind every output file.
 """
 from __future__ import annotations
 
@@ -16,11 +16,12 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ParseError, TrainingDataError
 
@@ -48,6 +49,9 @@ class TweetRecord:
     id: str
     timestamp: datetime  # always timezone-aware UTC
     text: str
+    # the input line, "\n" included, when parse_tweet_line found it already
+    # in to_line's shape; None for a record built any other way
+    source_line: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_line(self) -> str:
         """Serialize back to the one-record-per-line input format.
@@ -59,6 +63,11 @@ class TweetRecord:
         return (f'{{"id":{encode_basestring(self.id)},'
                 f'"timestamp":"{format_timestamp(self.timestamp)}",'
                 f'"text":{encode_basestring(self.text)}}}')
+
+    def output_line(self) -> str:
+        """``to_line() + "\n"``, the line every stage writes: the input line
+        itself when it was already in that shape, else serialized."""
+        return self.source_line or self.to_line() + "\n"
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,11 @@ def parse_tweet_line(
     # UTF-8, as _decode_line does
     canonical = _CANONICAL_LINE.fullmatch(line)
     if canonical and _is_unicode(line):
-        return _record_from_fields(*canonical.groups(), line_no, _parse_shaped_timestamp)
+        record = _record_from_fields(*canonical.groups(), line_no, _parse_shaped_timestamp)
+        # the line is to_line() of the record: json.dumps escapes only what
+        # the pattern excludes, and a shaped timestamp formats to itself
+        object.__setattr__(record, "source_line", line if line[-1] == "\n" else line + "\n")
+        return record
     return _record_from_object(_decode_line(line, line_no), line_no, strict)
 
 
@@ -230,35 +243,50 @@ def parse_label(obj_label: object, line_no: int | None = None) -> int:
     return obj_label
 
 
-def load_corpus(lines: Iterable[str], strictness: str = "lenient") -> Corpus:
-    """Parse a sequence of record lines into a Corpus.
+class RecordStream:
+    """The records of an iterable of input lines, in input order, each line
+    parsed once (``parse_tweet_line``) as the stream is iterated.
 
-    Strict mode aborts on the first bad line. Lenient mode skips bad lines,
-    counts them in ``rejected_count``, and logs each rejection. A duplicate
-    id aborts in both modes because duplicates would double-count in every
-    downstream report.
+    Strict mode raises on the first bad line. Lenient mode skips bad lines,
+    counts them in ``rejected``, and logs each rejection. A duplicate id
+    raises in both modes because duplicates would double-count in every
+    downstream report. ``accepted`` counts the records yielded so far.
     """
-    if strictness not in STRICTNESS_MODES:
-        raise ValueError(f"strictness must be one of {STRICTNESS_MODES}, got {strictness!r}")
-    strict = strictness == "strict"
 
-    records: list[TweetRecord] = []
-    seen_ids: set[str] = set()
-    rejected = 0
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            record = parse_tweet_line(line, line_no=line_no, strict=strict)
-        except ParseError as exc:
-            if strict:
-                raise
-            rejected += 1
-            log.warning("rejected %s", exc)
-            continue
-        if record.id in seen_ids:
-            raise ParseError(f"duplicate id {record.id!r}", line_no)
-        seen_ids.add(record.id)
-        records.append(record)
-    return Corpus(records=tuple(records), rejected_count=rejected)
+    def __init__(self, lines: Iterable[str], strictness: str = "lenient"):
+        if strictness not in STRICTNESS_MODES:
+            raise ValueError(
+                f"strictness must be one of {STRICTNESS_MODES}, got {strictness!r}")
+        self._lines = lines
+        self._strict = strictness == "strict"
+        self._seen_ids: set[str] = set()
+        self.rejected = 0
+
+    @property
+    def accepted(self) -> int:
+        return len(self._seen_ids)
+
+    def __iter__(self) -> Iterator[TweetRecord]:
+        strict, seen_ids = self._strict, self._seen_ids
+        for line_no, line in enumerate(self._lines, start=1):
+            try:
+                record = parse_tweet_line(line, line_no=line_no, strict=strict)
+            except ParseError as exc:
+                if strict:
+                    raise
+                self.rejected += 1
+                log.warning("rejected %s", exc)
+                continue
+            if record.id in seen_ids:
+                raise ParseError(f"duplicate id {record.id!r}", line_no)
+            seen_ids.add(record.id)
+            yield record
+
+
+def load_corpus(lines: Iterable[str], strictness: str = "lenient") -> Corpus:
+    """All of a ``RecordStream``'s records, with its count of rejected lines."""
+    stream = RecordStream(lines, strictness)
+    return Corpus(records=tuple(stream), rejected_count=stream.rejected)
 
 
 def load_labeled_set(lines: Iterable[str]) -> list[LabeledExample]:
@@ -291,21 +319,31 @@ def class_counts(examples: Sequence[LabeledExample]) -> tuple[int, int]:
     return len(examples) - positive, positive
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8) so readers see the old file or
-    the new one, never a part.
+@contextmanager
+def open_text_atomic(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file to write that replaces ``path`` when the ``with``
+    block ends without an error, so readers see the old file or the new one,
+    never a part.
 
-    The text goes to a fresh temporary file in the same directory, which is
-    fsynced and then renamed over ``path``; on any error the temporary file
-    is removed and ``path`` is left as it was. The new file gets the mode a
+    The text goes to a fresh temporary file ``<name>.<random>.tmp`` in the
+    same directory, which is fsynced and then renamed over ``path``. On any
+    error, in the block or in the write, the temporary file is removed,
+    ``path`` is left as it was, and so are the directories above it: any
+    that this call created are removed again. The new file gets the mode a
     plain ``open`` would give it under the current umask.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    created = []  # deepest first
+    for directory in (path.parent, *path.parent.parents):
+        if directory.exists():
+            break
+        created.append(directory)
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         umask = os.umask(0)
@@ -313,8 +351,16 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
+        if tmp is not None:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+        for directory in created:
+            with suppress(OSError):  # no longer empty: another writer's
+                directory.rmdir()
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) through ``open_text_atomic``."""
+    with open_text_atomic(path) as fh:
+        fh.write(text)

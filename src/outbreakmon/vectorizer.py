@@ -135,18 +135,23 @@ def fit_tfidf(texts: Iterable[str]) -> TfIdfModel:
     return TfIdfModel(vocabulary=vocab)
 
 
-def vectorize(model: TfIdfModel, text: str) -> SparseVector:
-    """Map a text to its sparse tf-idf vector under the fitted model.
+def tfidf_entries(model: TfIdfModel, text: str) -> list[tuple[int, float]]:
+    """The (index, value) entries of a text's tf-idf vector, sorted by index
+    and zero-free: the one place the tf-idf formula is applied.
 
     Tokens outside the vocabulary are ignored (they still count toward the
     within-tweet frequency maximum); entries whose product is exactly zero
     are dropped.
     """
+    # the counts of tokenize(text): every token counted, then the pure
+    # numbers dropped, which checks each distinct token once
     counts: dict[str, int] = {}
-    for token in tokenize(text):
+    for token in _TOKEN_RE.findall(text.lower()):
         counts[token] = counts.get(token, 0) + 1
+    for token in [token for token in counts if token.isdigit()]:
+        del counts[token]
     if not counts:
-        return SparseVector()
+        return []
     index_idf = model.vocabulary.index_idf
     max_f = max(counts.values())
     entries = []
@@ -159,4 +164,10 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
         if value != 0.0:
             entries.append((index, value))
     entries.sort()
-    return SparseVector._unchecked(tuple(entries))
+    return entries
+
+
+def vectorize(model: TfIdfModel, text: str) -> SparseVector:
+    """Map a text to its sparse tf-idf vector under the fitted model
+    (``tfidf_entries``)."""
+    return SparseVector._unchecked(tuple(tfidf_entries(model, text)))

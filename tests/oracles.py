@@ -2,17 +2,43 @@
 
 Everything here recomputes expected values from first principles, staying off
 the library code paths it checks (the tokenizer is shared where only the
-downstream arithmetic is under test).
+downstream arithmetic is under test). The materializing stages at the end
+share the per-record functions with the library and differ in how records
+flow through a stage.
 """
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import re
+import sys
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
+
+from outbreakmon.cli import (
+    DAILY_CSV_NAME,
+    FILTERED_NAME,
+    PERIOD_CSV_NAME,
+    RELEVANT_NAME,
+    _open_records,
+    _refuse_to_replace,
+    log as cli_log,
+)
+from outbreakmon.corpus import parse_tweet_line, write_text_atomic
+from outbreakmon.errors import ParseError
+from outbreakmon.keywords import matches
+from outbreakmon.svm import predict
+from outbreakmon.timeline import (
+    bucket_counts,
+    daily_frequency,
+    day_counts,
+    format_daily_counts,
+    format_period_report,
+)
+from outbreakmon.vectorizer import vectorize
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +231,89 @@ def brute_daily(instants, start: date, end: date):
             break
         day = day + timedelta(days=1)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The filter, classify and report stages as they were before streaming:
+# each parses its whole input into a tuple, then writes one joined string
+# ---------------------------------------------------------------------------
+
+def materialized_corpus(lines, strictness):
+    """(records, rejected line count) of a whole input: every line parsed,
+    a bad one skipped and logged (lenient) or raised (strict), a duplicate
+    id raised in both modes."""
+    records, seen_ids, rejected = [], set(), 0
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            record = parse_tweet_line(line, line_no=line_no, strict=strictness == "strict")
+        except ParseError as exc:
+            if strictness == "strict":
+                raise
+            rejected += 1
+            logging.getLogger("outbreakmon.corpus").warning("rejected %s", exc)
+            continue
+        if record.id in seen_ids:
+            raise ParseError(f"duplicate id {record.id!r}", line_no)
+        seen_ids.add(record.id)
+        records.append(record)
+    return tuple(records), rejected
+
+
+def _materialized_input(cfg):
+    if cfg.input is None:
+        raise FileNotFoundError("no input file configured")
+    with _open_records(cfg.input) as fh:
+        return materialized_corpus(fh, cfg.strictness)
+
+
+def materialized_filter(cfg, keywords):
+    _refuse_to_replace((cfg.input, cfg.keywords), [cfg.output / FILTERED_NAME])
+    records, rejected = _materialized_input(cfg)
+    kept = [r for r in records if matches(keywords, r.text)]
+    out_path = cfg.output / FILTERED_NAME
+    write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in kept))
+    cli_log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
+                 len(records), rejected, len(kept), len(records) - len(kept), out_path)
+    return {"input_records": len(records), "rejected_lines": rejected, "kept": len(kept),
+            "dropped": len(records) - len(kept), "output": FILTERED_NAME}
+
+
+def materialized_classify(cfg, model):
+    _refuse_to_replace((cfg.input, cfg.model), [cfg.output / RELEVANT_NAME])
+    records, rejected = _materialized_input(cfg)
+    relevant = [r for r in records if predict(model, vectorize(model.vectorizer, r.text)) == 1]
+    out_path = cfg.output / RELEVANT_NAME
+    write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
+    cli_log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
+                 len(records), len(relevant), len(records) - len(relevant), out_path)
+    return {"input_records": len(records), "rejected_lines": rejected,
+            "relevant": len(relevant), "irrelevant": len(records) - len(relevant),
+            "output": RELEVANT_NAME}
+
+
+def materialized_report(cfg, timeline):
+    _refuse_to_replace((cfg.input, cfg.timeline),
+                       [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
+    records, rejected = _materialized_input(cfg)
+    kept = [r for r in records
+            if cfg.final_cutoff is None or r.timestamp.date() <= cfg.final_cutoff]
+    report = bucket_counts(timeline, kept)
+    period_table = format_period_report(report)
+    write_text_atomic(cfg.output / PERIOD_CSV_NAME, period_table)
+    days = sorted({r.timestamp.date() for r in kept})
+    start = cfg.daily_start or (days[0] if days else None)
+    end = cfg.daily_end or (days[-1] if days else None)
+    if start is None or end is None or end < start:
+        series = []
+    else:
+        series = daily_frequency(day_counts(kept), start, end)
+    write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
+    sys.stdout.write(period_table)
+    excluded = len(records) - len(kept)
+    cli_log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
+                 "%d daily rows", report.total, len(report.rows), excluded, len(series))
+    return {"input_records": len(records), "rejected_lines": rejected,
+            "excluded_after_cutoff": excluded, "periods": len(report.rows),
+            "period_total": report.total, "daily_days": len(series),
+            "daily_total": sum(count for _, count in series),
+            "outputs": [PERIOD_CSV_NAME, DAILY_CSV_NAME]}

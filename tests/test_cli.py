@@ -22,7 +22,7 @@ from outbreakmon.cli import (
 )
 from outbreakmon.corpus import load_corpus
 from outbreakmon.keywords import DEFAULT_PHRASES
-from outbreakmon.svm import load_model, predict
+from outbreakmon.svm import load_model, predict, predict_text
 from outbreakmon.timeline import (
     BUILTIN_CDC_TIMELINE_CSV,
     builtin_cdc_timeline,
@@ -267,19 +267,19 @@ class TestScoreMemo:
         return "".join(r.to_line() + "\n" for r in kept).encode("utf-8")
 
     @staticmethod
-    def count_vectorize_calls(monkeypatch):
+    def count_score_calls(monkeypatch):
         calls = []
 
-        def spy(vectorizer, text):
+        def spy(model, text):
             calls.append(text)
-            return vectorize(vectorizer, text)
+            return predict_text(model, text)
 
-        monkeypatch.setattr(cli, "vectorize", spy)
+        monkeypatch.setattr(cli, "predict_text", spy)
         return calls
 
     def test_vectorizes_each_distinct_text_once(self, tmp_path, model_file, repeat_stream,
                                                 monkeypatch):
-        calls = self.count_vectorize_calls(monkeypatch)
+        calls = self.count_score_calls(monkeypatch)
         self.classify(tmp_path, model_file, repeat_stream)
         with repeat_stream.open(encoding="utf-8") as fh:
             texts = [r.text for r in load_corpus(fh)]
@@ -293,7 +293,7 @@ class TestScoreMemo:
     def test_output_unchanged_when_the_memo_starts_over(self, tmp_path, model_file,
                                                         repeat_stream, monkeypatch):
         monkeypatch.setattr(cli, "SCORE_MEMO_LIMIT", 2)
-        calls = self.count_vectorize_calls(monkeypatch)
+        calls = self.count_score_calls(monkeypatch)
         assert self.classify(tmp_path, model_file, repeat_stream) \
             == self.memo_free_relevant(model_file, repeat_stream)
         assert 7 < len(calls) < 60

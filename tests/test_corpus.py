@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from datetime import datetime, timedelta, timezone
@@ -16,6 +17,7 @@ from outbreakmon.corpus import (
     format_timestamp,
     load_corpus,
     load_labeled_set,
+    open_text_atomic,
     parse_timestamp,
     parse_tweet_line,
     write_text_atomic,
@@ -236,6 +238,20 @@ def test_accepted_canonical_line_is_its_own_to_line(record_id, timestamp, text, 
     except ParseError:
         return
     assert record.to_line() == line.rstrip("\n")
+    # a stage writes the line itself back: to_line() and one newline
+    assert record.source_line == record.output_line() == record.to_line() + "\n"
+
+
+def test_only_a_parsed_canonical_line_is_echoed():
+    echoed = parse_tweet_line(GOOD_LINE)
+    built = TweetRecord(echoed.id, echoed.timestamp, echoed.text)
+    decoded = parse_tweet_line(make_line(text=echoed.text))
+    changed = dataclasses.replace(echoed, text="salmonella")
+    assert echoed.source_line == GOOD_LINE + "\n"
+    assert built.source_line is decoded.source_line is changed.source_line is None
+    assert echoed == built == decoded and repr(echoed) == repr(built)
+    assert built.output_line() == decoded.output_line() == GOOD_LINE + "\n"
+    assert changed.output_line() == changed.to_line() + "\n"
 
 
 def _misshapen(instant, how):
@@ -486,3 +502,25 @@ def test_write_text_atomic_replaces_with_umask_mode_and_no_leftover(tmp_path):
     assert path.read_bytes() == "second \u00e9\n".encode("utf-8")
     assert path.stat().st_mode & 0o777 == 0o640
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+def test_open_text_atomic_error_leaves_files_and_directories_as_they_were(tmp_path):
+    old = tmp_path / "old.txt"
+    old.write_text("old\n", encoding="utf-8")
+    for path in (old, tmp_path / "a" / "b" / "new.txt"):
+        with pytest.raises(ParseError):
+            with open_text_atomic(path) as fh:
+                fh.write("partial\n")
+                assert path.parent.is_dir()
+                raise ParseError("abort mid-stream", 7)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert old.read_text(encoding="utf-8") == "old\n"
+
+
+def test_open_text_atomic_keeps_a_directory_it_made_that_is_in_use(tmp_path):
+    path = tmp_path / "a" / "out.txt"
+    with pytest.raises(ParseError):
+        with open_text_atomic(path):
+            (tmp_path / "a" / "other.txt").write_text("kept\n", encoding="utf-8")
+            raise ParseError("abort mid-stream", 7)
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["other.txt"]

@@ -183,17 +183,20 @@ class TestVectorize:
             for term, value in want.items():
                 assert got[index_of[term]] == pytest.approx(value, rel=1e-12)
 
-    # Tokens of two or three letters pass tokenize() unchanged; a small
-    # alphabet makes repeats, shared terms and terms in every document common.
+    # Tokens of two or three characters pass tokenize() unchanged unless they
+    # are all digits, which it drops and which then count toward no maximum;
+    # a small alphabet makes repeats, shared terms and terms in every
+    # document common.
     @settings(max_examples=300, deadline=None)
-    @given(docs=st.lists(st.lists(st.text(alphabet="abc", min_size=2, max_size=3),
+    @given(docs=st.lists(st.lists(st.text(alphabet="ab1", min_size=2, max_size=3),
                                   max_size=10), min_size=1, max_size=8))
     def test_bit_equal_to_formula_oracle_on_random_token_documents(self, docs):
-        assume(any(docs))
+        terms = [[token for token in doc if not token.isdigit()] for doc in docs]
+        assume(any(terms))
         texts = [" ".join(doc) for doc in docs]
         model = fit_tfidf(texts)
         index_of = model.vocabulary.terms
-        for text, want in zip(texts, tfidf_by_hand(docs)):
+        for text, want in zip(texts, tfidf_by_hand(terms)):
             expected = tuple(sorted((index_of[term], value) for term, value in want.items()))
             vector = vectorize(model, text)
             assert vector.entries == expected
