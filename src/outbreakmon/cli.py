@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +40,7 @@ from .svm import (
     SvmModel,
     TrainingConfig,
     load_model,
-    predict_text,
+    predict,
     save_model,
     train_from_labeled,
     training_accuracy,
@@ -55,6 +56,7 @@ from .timeline import (
     parse_timeline_file,
     period_counts,
 )
+from .vectorizer import vectorize
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +76,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "outbreakmon-manifest"
 MANIFEST_VERSION = 2
 
-# Distinct texts whose verdicts run_classify keeps before it starts over.
+# Distinct texts whose verdicts run_classify keeps, the most recently used.
 SCORE_MEMO_LIMIT = 2**16
 
 
@@ -235,19 +237,28 @@ def input_hashes(cfg: PipelineConfig) -> dict:
             for key in PIPELINE_INPUTS}
 
 
-def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
-    out_path = cfg.output / FILTERED_NAME
-    _refuse_to_replace((cfg.input, cfg.keywords), [out_path])
+def _write_kept(cfg: PipelineConfig, name: str, inputs, keep) -> tuple[RecordStream, int]:
+    """Stream the records of ``cfg.input`` into ``cfg.output / name``, writing
+    each one whose text ``keep`` accepts; returns the spent stream and the
+    number kept. Refuses an output that would replace one of ``inputs``."""
+    out_path = cfg.output / name
+    _refuse_to_replace(inputs, [out_path])
     kept = 0
     with _open_input(cfg.input) as fh, open_text_atomic(out_path) as out:
         records = RecordStream(fh, cfg.strictness)
         for record in records:
-            if matches(keywords, record.text):
+            if keep(record.text):
                 out.write(record.output_line())
                 kept += 1
+    return records, kept
+
+
+def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
+    records, kept = _write_kept(cfg, FILTERED_NAME, (cfg.input, cfg.keywords),
+                                partial(matches, keywords))
     dropped = records.accepted - kept
     log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
-             records.accepted, records.rejected, kept, dropped, out_path)
+             records.accepted, records.rejected, kept, dropped, cfg.output / FILTERED_NAME)
     return {
         "input_records": records.accepted,
         "rejected_lines": records.rejected,
@@ -281,27 +292,18 @@ def run_train(cfg: PipelineConfig) -> None:
 
 
 def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
-    out_path = cfg.output / RELEVANT_NAME
-    _refuse_to_replace((cfg.input, cfg.model), [out_path])
     # A verdict depends on the text alone, and retweets repeat a text word for
-    # word, so each distinct text is scored once. The memo starts over at
-    # SCORE_MEMO_LIMIT entries, which keeps its memory bounded on any stream.
-    verdicts: dict[str, bool] = {}
-    relevant = 0
-    with _open_input(cfg.input) as fh, open_text_atomic(out_path) as out:
-        records = RecordStream(fh, cfg.strictness)
-        for record in records:
-            verdict = verdicts.get(record.text)
-            if verdict is None:
-                if len(verdicts) >= SCORE_MEMO_LIMIT:
-                    verdicts.clear()
-                verdict = verdicts[record.text] = predict_text(model, record.text) == 1
-            if verdict:
-                out.write(record.output_line())
-                relevant += 1
+    # word, so each distinct text is scored once. The cache belongs to this
+    # call, so no verdict outlives its model, and it keeps the verdicts of the
+    # SCORE_MEMO_LIMIT most recently used texts, which bounds its memory.
+    @lru_cache(maxsize=SCORE_MEMO_LIMIT)
+    def is_relevant(text: str) -> bool:
+        return predict(model, vectorize(model.vectorizer, text)) == 1
+
+    records, relevant = _write_kept(cfg, RELEVANT_NAME, (cfg.input, cfg.model), is_relevant)
     irrelevant = records.accepted - relevant
     log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
-             records.accepted, relevant, irrelevant, out_path)
+             records.accepted, relevant, irrelevant, cfg.output / RELEVANT_NAME)
     return {
         "input_records": records.accepted,
         "rejected_lines": records.rejected,

@@ -29,7 +29,6 @@ from .vectorizer import (
     TOKEN_RULES_V1,
     Vocabulary,
     fit_tfidf,
-    tfidf_entries,
     vectorize,
 )
 
@@ -235,24 +234,6 @@ def predict(model: SvmModel, vector: SparseVector) -> int:
     than dropping a relevant one.
     """
     return 1 if decision_value(model, vector) >= 0.0 else -1
-
-
-def decision_of_text(model: SvmModel, text: str) -> float:
-    """``decision_value(model, vectorize(model.vectorizer, text))`` without
-    building the vector: the same products ``w[i] * (tf * idf)`` summed
-    left to right in index order, then the bias added, so every bit agrees.
-    ``model`` must embed its vectorizer, whose size its weights match."""
-    weights = model.weights
-    total = 0.0
-    for index, value in tfidf_entries(model.vectorizer, text):
-        total += weights[index] * value
-    return total + model.bias
-
-
-def predict_text(model: SvmModel, text: str) -> int:
-    """``predict(model, vectorize(model.vectorizer, text))``, through
-    ``decision_of_text``."""
-    return 1 if decision_of_text(model, text) >= 0.0 else -1
 
 
 def training_accuracy(model: SvmModel, examples: Sequence[LabeledExample]) -> float:

@@ -135,23 +135,19 @@ def fit_tfidf(texts: Iterable[str]) -> TfIdfModel:
     return TfIdfModel(vocabulary=vocab)
 
 
-def tfidf_entries(model: TfIdfModel, text: str) -> list[tuple[int, float]]:
-    """The (index, value) entries of a text's tf-idf vector, sorted by index
-    and zero-free: the one place the tf-idf formula is applied.
+def vectorize(model: TfIdfModel, text: str) -> SparseVector:
+    """Map a text to its sparse tf-idf vector under the fitted model: the one
+    place the tf-idf formula is applied.
 
     Tokens outside the vocabulary are ignored (they still count toward the
     within-tweet frequency maximum); entries whose product is exactly zero
     are dropped.
     """
-    # the counts of tokenize(text): every token counted, then the pure
-    # numbers dropped, which checks each distinct token once
     counts: dict[str, int] = {}
-    for token in _TOKEN_RE.findall(text.lower()):
+    for token in tokenize(text):
         counts[token] = counts.get(token, 0) + 1
-    for token in [token for token in counts if token.isdigit()]:
-        del counts[token]
     if not counts:
-        return []
+        return SparseVector._unchecked(())
     index_idf = model.vocabulary.index_idf
     max_f = max(counts.values())
     entries = []
@@ -164,10 +160,4 @@ def tfidf_entries(model: TfIdfModel, text: str) -> list[tuple[int, float]]:
         if value != 0.0:
             entries.append((index, value))
     entries.sort()
-    return entries
-
-
-def vectorize(model: TfIdfModel, text: str) -> SparseVector:
-    """Map a text to its sparse tf-idf vector under the fitted model
-    (``tfidf_entries``)."""
-    return SparseVector._unchecked(tuple(tfidf_entries(model, text)))
+    return SparseVector._unchecked(tuple(entries))

@@ -22,7 +22,7 @@ from outbreakmon.cli import (
 )
 from outbreakmon.corpus import load_corpus
 from outbreakmon.keywords import DEFAULT_PHRASES
-from outbreakmon.svm import load_model, predict, predict_text
+from outbreakmon.svm import SvmModel, decision_value, load_model, predict, save_model
 from outbreakmon.timeline import (
     BUILTIN_CDC_TIMELINE_CSV,
     builtin_cdc_timeline,
@@ -251,8 +251,8 @@ class TestScoreMemo:
             for i in range(60)])
 
     @staticmethod
-    def classify(tmp_path, model_file, stream):
-        out = tmp_path / "o"
+    def classify(tmp_path, model_file, stream, out_name="o"):
+        out = tmp_path / out_name
         assert main(["classify", "--input", str(stream), "--model", str(model_file),
                      "--output", str(out), "--quiet"]) == EXIT_OK
         return (out / RELEVANT_NAME).read_bytes()
@@ -270,11 +270,11 @@ class TestScoreMemo:
     def count_score_calls(monkeypatch):
         calls = []
 
-        def spy(model, text):
-            calls.append(text)
-            return predict_text(model, text)
+        def spy(model, vector):
+            calls.append(vector)
+            return predict(model, vector)
 
-        monkeypatch.setattr(cli, "predict_text", spy)
+        monkeypatch.setattr(cli, "predict", spy)
         return calls
 
     def test_vectorizes_each_distinct_text_once(self, tmp_path, model_file, repeat_stream,
@@ -290,13 +290,31 @@ class TestScoreMemo:
         assert self.classify(tmp_path, model_file, repeat_stream) \
             == self.memo_free_relevant(model_file, repeat_stream)
 
-    def test_output_unchanged_when_the_memo_starts_over(self, tmp_path, model_file,
-                                                        repeat_stream, monkeypatch):
+    def test_output_unchanged_when_the_memo_evicts(self, tmp_path, model_file,
+                                                   repeat_stream, monkeypatch):
         monkeypatch.setattr(cli, "SCORE_MEMO_LIMIT", 2)
         calls = self.count_score_calls(monkeypatch)
         assert self.classify(tmp_path, model_file, repeat_stream) \
             == self.memo_free_relevant(model_file, repeat_stream)
         assert 7 < len(calls) < 60
+
+    def test_no_verdict_outlives_its_model(self, tmp_path, model_file, repeat_stream):
+        # A second model whose bias keeps only the top-scoring text: the same
+        # texts, scored again in the same process, must get its verdicts.
+        model = load_model(model_file)
+        with repeat_stream.open(encoding="utf-8") as fh:
+            texts = {r.text for r in load_corpus(fh)}
+        values = sorted(decision_value(model, vectorize(model.vectorizer, text))
+                        for text in texts)
+        strict = SvmModel(model.weights, model.bias - (values[-1] + values[-2]) / 2,
+                          model.vectorizer, model.training_meta)
+        strict_file = tmp_path / "strict.json"
+        save_model(strict, strict_file)
+        first = self.classify(tmp_path, model_file, repeat_stream, "first")
+        second = self.classify(tmp_path, strict_file, repeat_stream, "second")
+        assert first == self.memo_free_relevant(model_file, repeat_stream)
+        assert second == self.memo_free_relevant(strict_file, repeat_stream)
+        assert first != second
 
 
 class TestReport:

@@ -15,12 +15,10 @@ from outbreakmon.svm import (
     SvmModel,
     TrainingConfig,
     TrainingMeta,
-    decision_of_text,
     decision_value,
     load_model,
     objective,
     predict,
-    predict_text,
     save_model,
     train,
     train_from_labeled,
@@ -226,9 +224,6 @@ def _weights_and_vector(draw):
     return weights, SparseVector(entries=tuple(zip(indices, values)))
 
 
-_LABELED_MODEL = train_from_labeled(load_labeled_set(labeled_lines(30, 30)), TrainingConfig())
-
-
 class TestBitExactScoring:
     @settings(max_examples=500, deadline=None)
     @given(case=_weights_and_vector(), bias=_FINITE)
@@ -251,22 +246,6 @@ class TestBitExactScoring:
         assert math.fsum([0.1, 0.2, -0.30000000000000004]) < 0.0
         assert decision_value(model, vector) == 0.0
         assert predict(model, vector) == 1
-
-    # Words of the trained vocabulary, repeated and cased at will, among
-    # out-of-vocabulary words, numbers and single letters.
-    _WORDS = st.sampled_from(sorted(_LABELED_MODEL.vectorizer.vocabulary.terms)[:40]
-                             + ["Salmonella", "RECALL!", "2015", "x", "unseenword", "a1"])
-
-    @settings(max_examples=300, deadline=None)
-    @given(words=st.lists(_WORDS, max_size=25), bias=st.sampled_from([None, 0.0, -0.37]))
-    def test_text_scorer_equals_scoring_the_vector(self, words, bias):
-        model = _LABELED_MODEL
-        if bias is not None:
-            model = SvmModel(model.weights, bias, model.vectorizer, model.training_meta)
-        text = " ".join(words)
-        vector = vectorize(model.vectorizer, text)
-        assert decision_of_text(model, text) == decision_value(model, vector)
-        assert predict_text(model, text) == predict(model, vector)
 
     @pytest.mark.parametrize("bias, expected, label", [
         (-0.3, 5.551115123125783e-17, 1),
