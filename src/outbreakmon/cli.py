@@ -101,35 +101,62 @@ class PipelineConfig:
     final_cutoff: date | None = None
 
 
-# config-file key (a PipelineConfig field) -> converter from string
+# config-file key (a PipelineConfig field) -> (converter from a string, flag,
+# help); `--strict` is the one flag that takes no value
 CONFIG_KEYS = {
-    "input": Path,
-    "keywords": Path,
-    "labeled": Path,
-    "model": Path,
-    "timeline": Path,
-    "output": Path,
-    "strictness": str,
-    "c": float,
-    "tolerance": float,
-    "max_epochs": int,
-    "seed": int,
-    "daily_start": parse_date,
-    "daily_end": parse_date,
-    "final_cutoff": parse_date,
+    "input": (Path, "--input", "record file, one JSON object per line"),
+    "keywords": (Path, "--keywords", "phrase file, one per line (default: builtin set)"),
+    "labeled": (Path, "--labeled", "labeled training file (label -1 or 1 per record)"),
+    "model": (Path, "--model", "model file (train writes it; classify and pipeline read it)"),
+    "timeline": (Path, "--timeline", "timeline CSV (default: builtin CDC timeline)"),
+    "output": (Path, "--output", "output directory (default: current directory)"),
+    "strictness": (str, "--strict", "abort on the first malformed line"),
+    "c": (float, "--c-param", f"soft-margin penalty C (default {TrainingConfig.C})"),
+    "tolerance": (float, "--tolerance",
+                  f"stopping tolerance (default {TrainingConfig.tolerance})"),
+    "max_epochs": (int, "--max-epochs", f"epoch cap (default {TrainingConfig.max_epochs})"),
+    "seed": (int, "--seed", f"shuffling seed (default {TrainingConfig.seed})"),
+    "daily_start": (parse_date, "--daily-start",
+                    "first day of the daily-frequency table (YYYY-MM-DD)"),
+    "daily_end": (parse_date, "--daily-end", "last day of the daily-frequency table (YYYY-MM-DD)"),
+    "final_cutoff": (parse_date, "--final-cutoff",
+                     "last day counted in the final open-ended period (YYYY-MM-DD)"),
+}
+
+# subcommand -> (summary, the config keys it takes a flag for); each also
+# takes --config, --output and --quiet
+COMMANDS = {
+    "filter": ("keep only records matching a keyword phrase",
+               ("input", "keywords", "strictness")),
+    "train": ("fit the tf-idf vocabulary and train the relevance SVM",
+              ("labeled", "model", "seed", "c", "tolerance", "max_epochs")),
+    "classify": ("keep only records the model predicts relevant",
+                 ("input", "model", "strictness")),
+    "report": ("bucket classified records into announcement periods",
+               ("input", "timeline", "daily_start", "daily_end", "final_cutoff", "strictness")),
+    "pipeline": ("filter, classify with an existing model, then report",
+                 ("input", "keywords", "model", "timeline", "daily_start", "daily_end",
+                  "final_cutoff", "strictness")),
+}
+
+# inspection subcommand -> (summary, what its --print-builtin writes)
+BUILTINS = {
+    "timeline": ("inspect the builtin timeline", BUILTIN_CDC_TIMELINE_CSV),
+    "keywords": ("inspect the builtin keyword set", "\n".join(DEFAULT_PHRASES) + "\n"),
 }
 
 # The files pipeline reads (by config key) and writes (in the output
-# directory), and the settings that config_hash covers.
+# directory). config_hash covers exactly the settings pipeline takes a flag for.
 PIPELINE_INPUTS = ("input", "keywords", "model", "timeline")
 PIPELINE_OUTPUTS = (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
                     MANIFEST_NAME)
-HASHED_KEYS = PIPELINE_INPUTS + ("strictness", "daily_start", "daily_end", "final_cutoff")
+HASHED_KEYS = COMMANDS["pipeline"][1]
 
 
 def parse_config_file(path: Path) -> dict[str, object]:
     """Read a flat ``key = value`` config file into converted values."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     with _open_records(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             if not _is_unicode(raw):
@@ -144,8 +171,11 @@ def parse_config_file(path: Path) -> dict[str, object]:
             value = value.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{path}:{line_no}: {key} already set on line {set_on[key]}")
+            set_on[key] = line_no
             try:
-                values[key] = CONFIG_KEYS[key](value)
+                values[key] = CONFIG_KEYS[key][0](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     return values
@@ -337,7 +367,7 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
         series = daily_frequency(days, start, end)
     write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
 
-    sys.stdout.write(period_table)
+    _write_stdout(period_table)
     log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
              "%d daily rows", report.total, len(report.rows), excluded, len(series))
     return {
@@ -380,16 +410,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _add_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
-    """A flag that sets config key ``key``, converted as in a config file."""
-    parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key], **kwargs)
-
-
-def _add_strict_flag(parser: argparse.ArgumentParser, **kwargs) -> None:
-    parser.add_argument("--strict", action="store_const", const="strict",
-                        dest="strictness", **kwargs)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="outbreakmon",
@@ -398,68 +418,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file")
-    _add_flag(common, "--output", "output", help="output directory (default: current directory)")
-    common.add_argument("--quiet", action="store_true", default=None,
-                        help="suppress informational messages")
-
-    p = sub.add_parser("filter", parents=[common],
-                       help="keep only records matching a keyword phrase")
-    _add_flag(p, "--input", "input", help="raw record file (one JSON object per line)")
-    _add_flag(p, "--keywords", "keywords", help="phrase file, one per line (default: builtin set)")
-    _add_strict_flag(p, help="abort on the first malformed line")
-
-    p = sub.add_parser("train", parents=[common],
-                       help="fit the tf-idf vocabulary and train the relevance SVM")
-    _add_flag(p, "--labeled", "labeled", help="labeled training file (label -1 or 1 per record)")
-    _add_flag(p, "--model", "model", help="where to write the model file")
-    _add_flag(p, "--seed", "seed", help=f"shuffling seed (default {TrainingConfig.seed})")
-    _add_flag(p, "--c-param", "c", help=f"soft-margin penalty C (default {TrainingConfig.C})")
-    _add_flag(p, "--tolerance", "tolerance",
-              help=f"stopping tolerance (default {TrainingConfig.tolerance})")
-    _add_flag(p, "--max-epochs", "max_epochs",
-              help=f"epoch cap (default {TrainingConfig.max_epochs})")
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="keep only records the model predicts relevant")
-    _add_flag(p, "--input", "input", help="record file to classify")
-    _add_flag(p, "--model", "model", help="trained model file")
-    _add_strict_flag(p)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="bucket classified records into announcement periods")
-    _add_flag(p, "--input", "input", help="classified record file")
-    _add_flag(p, "--timeline", "timeline", help="timeline CSV (default: builtin CDC timeline)")
-    _add_flag(p, "--daily-start", "daily_start",
-              help="first day of the daily-frequency table (YYYY-MM-DD)")
-    _add_flag(p, "--daily-end", "daily_end",
-              help="last day of the daily-frequency table (YYYY-MM-DD)")
-    _add_flag(p, "--final-cutoff", "final_cutoff",
-              help="last day counted in the final open-ended period")
-    _add_strict_flag(p)
-
-    p = sub.add_parser("pipeline", parents=[common],
-                       help="filter, classify with an existing model, then report")
-    _add_flag(p, "--input", "input", help="raw record file")
-    _add_flag(p, "--keywords", "keywords", help="phrase file (default: builtin set)")
-    _add_flag(p, "--model", "model", help="trained model file (train separately first)")
-    _add_flag(p, "--timeline", "timeline", help="timeline CSV (default: builtin CDC timeline)")
-    _add_flag(p, "--daily-start", "daily_start")
-    _add_flag(p, "--daily-end", "daily_end")
-    _add_flag(p, "--final-cutoff", "final_cutoff")
-    _add_strict_flag(p)
-
-    p = sub.add_parser("timeline", help="inspect the builtin timeline")
-    p.add_argument("--print-builtin", action="store_true", dest="print_builtin",
-                   help="write the builtin timeline CSV to standard output")
-
-    p = sub.add_parser("keywords", help="inspect the builtin keyword set")
-    p.add_argument("--print-builtin", action="store_true", dest="print_builtin",
-                   help="write the builtin phrases to standard output")
-
+    for command, (summary, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in ("output", *keys):
+            convert, flag, help_text = CONFIG_KEYS[key]
+            if key == "strictness":
+                p.add_argument(flag, action="store_const", const="strict", dest=key,
+                               help=help_text)
+            else:
+                p.add_argument(flag, dest=key, type=convert, help=help_text)
+        p.add_argument("--quiet", action="store_true", default=None,
+                       help="suppress informational messages")
+    for command, (summary, _) in BUILTINS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--print-builtin", action="store_true",
+                       help=f"write the builtin {command} to standard output")
     return parser
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output and flush it. If that fails, fd 1 is
+    pointed at the null device, so that the interpreter's final flush cannot
+    fail again, and the error is raised naming standard output (exit 2)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise OSError(exc.errno, f"cannot write standard output: {exc.strerror}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -474,18 +463,12 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
 
-    if args.command == "timeline":
-        if not args.print_builtin:
-            parser.error("timeline: nothing to do (use --print-builtin)")
-        sys.stdout.write(BUILTIN_CDC_TIMELINE_CSV)
-        return EXIT_OK
-    if args.command == "keywords":
-        if not args.print_builtin:
-            parser.error("keywords: nothing to do (use --print-builtin)")
-        sys.stdout.write("\n".join(DEFAULT_PHRASES) + "\n")
-        return EXIT_OK
-
     try:
+        if args.command in BUILTINS:
+            if not args.print_builtin:
+                parser.error(f"{args.command}: nothing to do (use --print-builtin)")
+            _write_stdout(BUILTINS[args.command][1])
+            return EXIT_OK
         cfg = build_config(args)
         if args.command == "filter":
             run_filter(cfg, _load_keyword_set(cfg.keywords))

@@ -1,4 +1,5 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
+import argparse
 import dataclasses
 import os
 import subprocess
@@ -413,3 +414,82 @@ def test_timeline_cell_over_the_csv_field_limit_exits_6_with_its_row(tmp_path, c
                  "--timeline", str(timeline), "--output", str(out), "--quiet"]) == EXIT_TIMELINE
     assert "row 3: field larger than field limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _subparsers():
+    (action,) = [action for action in _build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+_EVERY_STAGE = {"-h", "--help", "--config", "--output", "--quiet"}
+# subcommand -> every option string it takes
+COMMAND_OPTIONS = {
+    "filter": _EVERY_STAGE | {"--input", "--keywords", "--strict"},
+    "train": _EVERY_STAGE | {"--labeled", "--model", "--seed", "--c-param", "--tolerance",
+                             "--max-epochs"},
+    "classify": _EVERY_STAGE | {"--input", "--model", "--strict"},
+    "report": _EVERY_STAGE | {"--input", "--timeline", "--daily-start", "--daily-end",
+                              "--final-cutoff", "--strict"},
+    "pipeline": _EVERY_STAGE | {"--input", "--keywords", "--model", "--timeline",
+                                "--daily-start", "--daily-end", "--final-cutoff", "--strict"},
+    "timeline": {"-h", "--help", "--print-builtin"},
+    "keywords": {"-h", "--help", "--print-builtin"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_pinned_options():
+    assert {command: {option for action in parser._actions for option in action.option_strings}
+            for command, parser in _subparsers().items()} == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_every_option_has_help(command):
+    parser = _subparsers()[command]
+    assert [action.option_strings for action in parser._actions if not action.help] == []
+
+
+def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    records = _one_record_file(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text(f"input = {records}\n# the same key again\ninput = {records}\n",
+                      encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["filter", "--config", str(config), "--output", str(out),
+                 "--quiet"]) == EXIT_IO
+    assert f"bad arguments: {config}:3: input already set on line 1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", [["timeline", "--print-builtin"],
+                                     ["keywords", "--print-builtin"],
+                                     ["report", "--input", os.devnull]],
+                         ids=["timeline", "keywords", "report"])
+def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, command, unbuffered, sink):
+    src = str(Path(outbreakmon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "outbreakmon.cli", *command],
+                                cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                                text=True, timeout=60)
+    finally:
+        os.close(stdout)
+    assert result.returncode == EXIT_IO, result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and "cannot write standard output" in errors[0], result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
