@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -28,7 +27,15 @@ from .corpus import (
     parse_date,
     write_text_atomic,
 )
-from .errors import ModelFileError, ParseError, TimelineError, TrainingDataError
+from .errors import (
+    ModelFileError,
+    ParseError,
+    TimelineError,
+    TrainingDataError,
+    diagnose,
+    to_null_device,
+    write_stderr,
+)
 from .keywords import (
     DEFAULT_PHRASES,
     KeywordSet,
@@ -58,8 +65,6 @@ from .timeline import (
 )
 from .vectorizer import vectorize
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_PARSE = 3
@@ -78,6 +83,10 @@ MANIFEST_VERSION = 2
 
 # Distinct texts whose verdicts run_classify keeps, the most recently used.
 SCORE_MEMO_LIMIT = 2**16
+
+# False only while main runs a command given --quiet, which drops INFO
+# diagnostics.
+_show_info = True
 
 
 @dataclass
@@ -287,8 +296,8 @@ def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
     records, kept = _write_kept(cfg, FILTERED_NAME, (cfg.input, cfg.keywords),
                                 partial(matches, keywords))
     dropped = records.accepted - kept
-    log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
-             records.accepted, records.rejected, kept, dropped, cfg.output / FILTERED_NAME)
+    _info(f"filter: {records.accepted} read ({records.rejected} rejected lines), "
+          f"{kept} kept, {dropped} dropped -> {cfg.output / FILTERED_NAME}")
     return {
         "input_records": records.accepted,
         "rejected_lines": records.rejected,
@@ -313,12 +322,10 @@ def run_train(cfg: PipelineConfig) -> None:
     model = train_from_labeled(examples, train_config)
     save_model(model, cfg.model)
     accuracy = training_accuracy(model, examples)
-    log.info(
-        "train: %d negative / %d positive examples, %d epochs, "
-        "final objective %.6g, training accuracy %.4f -> %s",
-        negative, positive, model.training_meta.epochs_run,
-        model.training_meta.final_objective, accuracy, cfg.model,
-    )
+    meta = model.training_meta
+    _info(f"train: {negative} negative / {positive} positive examples, "
+          f"{meta.epochs_run} epochs, final objective {meta.final_objective:.6g}, "
+          f"training accuracy {accuracy:.4f} -> {cfg.model}")
 
 
 def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
@@ -332,8 +339,8 @@ def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
 
     records, relevant = _write_kept(cfg, RELEVANT_NAME, (cfg.input, cfg.model), is_relevant)
     irrelevant = records.accepted - relevant
-    log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
-             records.accepted, relevant, irrelevant, cfg.output / RELEVANT_NAME)
+    _info(f"classify: {records.accepted} read, {relevant} relevant, "
+          f"{irrelevant} irrelevant -> {cfg.output / RELEVANT_NAME}")
     return {
         "input_records": records.accepted,
         "rejected_lines": records.rejected,
@@ -368,8 +375,8 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
     write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
 
     _write_stdout(period_table)
-    log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
-             "%d daily rows", report.total, len(report.rows), excluded, len(series))
+    _info(f"report: {report.total} records bucketed into {len(report.rows)} periods "
+          f"({excluded} excluded past cutoff), {len(series)} daily rows")
     return {
         "input_records": records.accepted,
         "rejected_lines": records.rejected,
@@ -406,12 +413,26 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         cfg.output / MANIFEST_NAME,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
-    log.info("pipeline complete; manifest -> %s", cfg.output / MANIFEST_NAME)
+    _info(f"pipeline complete; manifest -> {cfg.output / MANIFEST_NAME}")
     return manifest
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help, usage, version and error text goes out
+    through _write_stdout or write_stderr, so a failed write is handled like
+    any other: exit 2 with one ERROR line for standard output, dropped for
+    standard error."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            if file is sys.stdout:
+                _write_stdout(message)
+            else:
+                write_stderr(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="outbreakmon",
         description="Filter a tweet stream by keyword phrases, classify relevance "
                     "with a tf-idf linear SVM, and report counts per announcement period.",
@@ -445,25 +466,22 @@ def _write_stdout(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+        to_null_device(1)
         raise OSError(exc.errno, f"cannot write standard output: {exc.strerror}") from None
 
 
+def _info(message: str) -> None:
+    """An INFO diagnostic, unless main was given --quiet."""
+    if _show_info:
+        diagnose("INFO", message)
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _show_info
     parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    quiet = bool(getattr(args, "quiet", False))
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.WARNING if quiet else logging.INFO,
-        format="%(levelname)s %(message)s",
-        force=True,
-    )
-
     try:
+        args = parser.parse_args(argv)
+        _show_info = not getattr(args, "quiet", False)
         if args.command in BUILTINS:
             if not args.print_builtin:
                 parser.error(f"{args.command}: nothing to do (use --print-builtin)")
@@ -481,23 +499,25 @@ def main(argv: list[str] | None = None) -> int:
         else:
             run_pipeline(cfg)
     except OSError as exc:
-        log.error("%s", exc)
+        diagnose("ERROR", str(exc))
         return EXIT_IO
     except ParseError as exc:
-        log.error("parse failure: %s", exc)
+        diagnose("ERROR", f"parse failure: {exc}")
         return EXIT_PARSE
     except TrainingDataError as exc:
-        log.error("training data unusable: %s", exc)
+        diagnose("ERROR", f"training data unusable: {exc}")
         return EXIT_TRAINING_DATA
     except ModelFileError as exc:
-        log.error("model failure: %s", exc)
+        diagnose("ERROR", f"model failure: {exc}")
         return EXIT_MODEL
     except TimelineError as exc:
-        log.error("timeline failure: %s", exc)
+        diagnose("ERROR", f"timeline failure: {exc}")
         return EXIT_TIMELINE
     except ValueError as exc:
-        log.error("bad arguments: %s", exc)
+        diagnose("ERROR", f"bad arguments: {exc}")
         return EXIT_IO
+    finally:
+        _show_info = True
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ Also home to ``open_text_atomic``, the one writer behind every output file.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import tempfile
@@ -23,9 +22,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .errors import ParseError, TrainingDataError
-
-log = logging.getLogger(__name__)
+from .errors import ParseError, TrainingDataError, diagnose
 
 # The exact shapes of a YYYY-MM-DD day and a YYYY-MM-DDTHH:MM:SSZ timestamp
 # in ASCII digits.
@@ -248,9 +245,10 @@ class RecordStream:
     parsed once (``parse_tweet_line``) as the stream is iterated.
 
     Strict mode raises on the first bad line. Lenient mode skips bad lines,
-    counts them in ``rejected``, and logs each rejection. A duplicate id
-    raises in both modes because duplicates would double-count in every
-    downstream report. ``accepted`` counts the records yielded so far.
+    counts them in ``rejected``, and writes a ``WARNING rejected line N:
+    reason`` diagnostic for each. A duplicate id raises in both modes
+    because duplicates would double-count in every downstream report.
+    ``accepted`` counts the records yielded so far.
     """
 
     def __init__(self, lines: Iterable[str], strictness: str = "lenient"):
@@ -275,7 +273,7 @@ class RecordStream:
                 if strict:
                     raise
                 self.rejected += 1
-                log.warning("rejected %s", exc)
+                diagnose("WARNING", f"rejected {exc}")
                 continue
             if record.id in seen_ids:
                 raise ParseError(f"duplicate id {record.id!r}", line_no)

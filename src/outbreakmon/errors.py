@@ -1,8 +1,12 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, and the writer of the
+diagnostics that report them.
 
 Each leaf class maps to one CLI exit code (see ``outbreakmon.cli``), so
 library callers and the command-line front end agree on failure taxonomy.
 """
+import os
+import sys
+from contextlib import suppress
 
 
 class PipelineError(Exception):
@@ -33,3 +37,36 @@ class ModelFileError(PipelineError):
 
 class TimelineError(PipelineError):
     """Event timeline is malformed or fails validation."""
+
+
+def to_null_device(fd: int) -> None:
+    """Point file descriptor ``fd`` at the null device, so that no later
+    write to it can fail, the interpreter's final flush of what a failed
+    write left in its buffer included. If even that fails, ``fd`` is left
+    as it was."""
+    with suppress(OSError):
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, fd)
+        finally:
+            os.close(null)
+
+
+def write_stderr(text: str) -> None:
+    """Write ``text`` to ``sys.stderr`` as it is now. A diagnostic never
+    changes how a run ends: with no standard error, or when the write fails,
+    the text is dropped and fd 2 is pointed at the null device."""
+    stream = sys.stderr
+    if stream is not None:
+        try:
+            stream.write(text)
+            return
+        except (OSError, ValueError):  # ValueError: a closed stream
+            pass
+    to_null_device(2)
+
+
+def diagnose(level: str, message: str) -> None:
+    """One diagnostic line, ``INFO``, ``WARNING`` or ``ERROR`` and then
+    ``message``, on standard error."""
+    write_stderr(f"{level} {message}\n")

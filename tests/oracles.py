@@ -9,7 +9,6 @@ flow through a stage.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import re
 import sys
@@ -25,7 +24,6 @@ from outbreakmon.cli import (
     RELEVANT_NAME,
     _open_records,
     _refuse_to_replace,
-    log as cli_log,
 )
 from outbreakmon.corpus import parse_tweet_line, write_text_atomic
 from outbreakmon.errors import ParseError
@@ -235,12 +233,14 @@ def brute_daily(instants, start: date, end: date):
 
 # ---------------------------------------------------------------------------
 # The filter, classify and report stages as they were before streaming:
-# each parses its whole input into a tuple, then writes one joined string
+# each parses its whole input into a tuple, then writes one joined string.
+# Their diagnostics are spelled out here as the lines a run without --quiet
+# writes to standard error.
 # ---------------------------------------------------------------------------
 
 def materialized_corpus(lines, strictness):
     """(records, rejected line count) of a whole input: every line parsed,
-    a bad one skipped and logged (lenient) or raised (strict), a duplicate
+    a bad one skipped and reported (lenient) or raised (strict), a duplicate
     id raised in both modes."""
     records, seen_ids, rejected = [], set(), 0
     for line_no, line in enumerate(lines, start=1):
@@ -250,7 +250,7 @@ def materialized_corpus(lines, strictness):
             if strictness == "strict":
                 raise
             rejected += 1
-            logging.getLogger("outbreakmon.corpus").warning("rejected %s", exc)
+            sys.stderr.write(f"WARNING rejected {exc}\n")
             continue
         if record.id in seen_ids:
             raise ParseError(f"duplicate id {record.id!r}", line_no)
@@ -272,8 +272,8 @@ def materialized_filter(cfg, keywords):
     kept = [r for r in records if matches(keywords, r.text)]
     out_path = cfg.output / FILTERED_NAME
     write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in kept))
-    cli_log.info("filter: %d read (%d rejected lines), %d kept, %d dropped -> %s",
-                 len(records), rejected, len(kept), len(records) - len(kept), out_path)
+    sys.stderr.write(f"INFO filter: {len(records)} read ({rejected} rejected lines), "
+                     f"{len(kept)} kept, {len(records) - len(kept)} dropped -> {out_path}\n")
     return {"input_records": len(records), "rejected_lines": rejected, "kept": len(kept),
             "dropped": len(records) - len(kept), "output": FILTERED_NAME}
 
@@ -284,8 +284,8 @@ def materialized_classify(cfg, model):
     relevant = [r for r in records if predict(model, vectorize(model.vectorizer, r.text)) == 1]
     out_path = cfg.output / RELEVANT_NAME
     write_text_atomic(out_path, "".join(r.to_line() + "\n" for r in relevant))
-    cli_log.info("classify: %d read, %d relevant, %d irrelevant -> %s",
-                 len(records), len(relevant), len(records) - len(relevant), out_path)
+    sys.stderr.write(f"INFO classify: {len(records)} read, {len(relevant)} relevant, "
+                     f"{len(records) - len(relevant)} irrelevant -> {out_path}\n")
     return {"input_records": len(records), "rejected_lines": rejected,
             "relevant": len(relevant), "irrelevant": len(records) - len(relevant),
             "output": RELEVANT_NAME}
@@ -310,8 +310,8 @@ def materialized_report(cfg, timeline):
     write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
     sys.stdout.write(period_table)
     excluded = len(records) - len(kept)
-    cli_log.info("report: %d records bucketed into %d periods (%d excluded past cutoff), "
-                 "%d daily rows", report.total, len(report.rows), excluded, len(series))
+    sys.stderr.write(f"INFO report: {report.total} records bucketed into {len(report.rows)} "
+                     f"periods ({excluded} excluded past cutoff), {len(series)} daily rows\n")
     return {"input_records": len(records), "rejected_lines": rejected,
             "excluded_after_cutoff": excluded, "periods": len(report.rows),
             "period_total": report.total, "daily_days": len(series),

@@ -466,8 +466,12 @@ def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", [["timeline", "--print-builtin"],
                                      ["keywords", "--print-builtin"],
-                                     ["report", "--input", os.devnull]],
-                         ids=["timeline", "keywords", "report"])
+                                     ["report", "--input", os.devnull],
+                                     ["--help"],
+                                     ["pipeline", "--help"],
+                                     ["--version"]],
+                         ids=["timeline", "keywords", "report", "help", "pipeline-help",
+                              "version"])
 def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, command, unbuffered, sink):
     src = str(Path(outbreakmon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
