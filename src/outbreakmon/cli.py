@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from datetime import date
 from functools import lru_cache, partial
 from pathlib import Path
@@ -63,6 +62,7 @@ from .timeline import (
     parse_timeline_file,
     period_counts,
 )
+from .value import Value
 from .vectorizer import vectorize
 
 EXIT_OK = 0
@@ -89,42 +89,61 @@ SCORE_MEMO_LIMIT = 2**16
 _show_info = True
 
 
-@dataclass
-class PipelineConfig:
+# the solver's defaults, which the settings below default to
+_TRAINING = TrainingConfig()
+
+
+class PipelineConfig(Value):
     """Resolved settings for one invocation (defaults < config file < flags).
     Each field is named after its config key."""
 
-    input: Path | None = None
-    keywords: Path | None = None
-    labeled: Path | None = None
-    model: Path | None = None
-    timeline: Path | None = None
-    output: Path = Path(".")
-    strictness: str = "lenient"
-    c: float = TrainingConfig.C
-    tolerance: float = TrainingConfig.tolerance
-    max_epochs: int = TrainingConfig.max_epochs
-    seed: int = TrainingConfig.seed
-    daily_start: date | None = None
-    daily_end: date | None = None
-    final_cutoff: date | None = None
+    __slots__ = _fields = ("input", "keywords", "labeled", "model", "timeline", "output",
+                           "strictness", "c", "tolerance", "max_epochs", "seed",
+                           "daily_start", "daily_end", "final_cutoff")
+    # the one mutable value type, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, input: Path | None = None, keywords: Path | None = None,
+                 labeled: Path | None = None, model: Path | None = None,
+                 timeline: Path | None = None, output: Path = Path("."),
+                 strictness: str = "lenient", c: float = _TRAINING.C,
+                 tolerance: float = _TRAINING.tolerance, max_epochs: int = _TRAINING.max_epochs,
+                 seed: int = _TRAINING.seed, daily_start: date | None = None,
+                 daily_end: date | None = None, final_cutoff: date | None = None):
+        self._set_slots(input, keywords, labeled, model, timeline, output, strictness, c,
+                        tolerance, max_epochs, seed, daily_start, daily_end, final_cutoff)
+
+    def replace(self, **changes) -> PipelineConfig:
+        """A copy with the fields named in ``changes`` set to their values."""
+        return PipelineConfig(**dict(zip(self._fields, self._values()), **changes))
+
+
+def parse_path(value: str) -> Path:
+    """A path setting. An empty one is refused: ``Path("")`` is ``.``, the
+    working directory, which no setting means."""
+    if not value:
+        raise ValueError("empty path")
+    return Path(value)
 
 
 # config-file key (a PipelineConfig field) -> (converter from a string, flag,
 # help); `--strict` is the one flag that takes no value
 CONFIG_KEYS = {
-    "input": (Path, "--input", "record file, one JSON object per line"),
-    "keywords": (Path, "--keywords", "phrase file, one per line (default: builtin set)"),
-    "labeled": (Path, "--labeled", "labeled training file (label -1 or 1 per record)"),
-    "model": (Path, "--model", "model file (train writes it; classify and pipeline read it)"),
-    "timeline": (Path, "--timeline", "timeline CSV (default: builtin CDC timeline)"),
-    "output": (Path, "--output", "output directory (default: current directory)"),
+    "input": (parse_path, "--input", "record file, one JSON object per line"),
+    "keywords": (parse_path, "--keywords", "phrase file, one per line (default: builtin set)"),
+    "labeled": (parse_path, "--labeled", "labeled training file (label -1 or 1 per record)"),
+    "model": (parse_path, "--model",
+              "model file (train writes it; classify and pipeline read it)"),
+    "timeline": (parse_path, "--timeline", "timeline CSV (default: builtin CDC timeline)"),
+    "output": (parse_path, "--output", "output directory (default: current directory)"),
     "strictness": (str, "--strict", "abort on the first malformed line"),
-    "c": (float, "--c-param", f"soft-margin penalty C (default {TrainingConfig.C})"),
+    "c": (float, "--c-param", f"soft-margin penalty C (default {_TRAINING.C})"),
     "tolerance": (float, "--tolerance",
-                  f"stopping tolerance (default {TrainingConfig.tolerance})"),
-    "max_epochs": (int, "--max-epochs", f"epoch cap (default {TrainingConfig.max_epochs})"),
-    "seed": (int, "--seed", f"shuffling seed (default {TrainingConfig.seed})"),
+                  f"stopping tolerance (default {_TRAINING.tolerance})"),
+    "max_epochs": (int, "--max-epochs", f"epoch cap (default {_TRAINING.max_epochs})"),
+    "seed": (int, "--seed", f"shuffling seed (default {_TRAINING.seed})"),
     "daily_start": (parse_date, "--daily-start",
                     "first day of the daily-frequency table (YYYY-MM-DD)"),
     "daily_end": (parse_date, "--daily-end", "last day of the daily-frequency table (YYYY-MM-DD)"),
@@ -195,10 +214,10 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     config key, and argparse converts it with the same CONFIG_KEYS converter
     the config file uses."""
     cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **parse_config_file(Path(args.config)))
-    cfg = replace(cfg, **{key: getattr(args, key) for key in CONFIG_KEYS
-                          if getattr(args, key, None) is not None})
+    if getattr(args, "config", None) is not None:
+        cfg = cfg.replace(**parse_config_file(args.config))
+    cfg = cfg.replace(**{key: getattr(args, key) for key in CONFIG_KEYS
+                         if getattr(args, key, None) is not None})
     if cfg.strictness not in STRICTNESS_MODES:
         raise ValueError(f"strictness must be strict or lenient, got {cfg.strictness!r}")
     if cfg.daily_start and cfg.daily_end and cfg.daily_end < cfg.daily_start:
@@ -398,8 +417,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     timeline = _load_timeline(cfg.timeline)
     stages = {
         "filter": run_filter(cfg, keywords),
-        "classify": run_classify(replace(cfg, input=cfg.output / FILTERED_NAME), model),
-        "report": run_report(replace(cfg, input=cfg.output / RELEVANT_NAME), timeline),
+        "classify": run_classify(cfg.replace(input=cfg.output / FILTERED_NAME), model),
+        "report": run_report(cfg.replace(input=cfg.output / RELEVANT_NAME), timeline),
     }
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -441,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--config", type=parse_path, help="flat key = value config file")
         for key in ("output", *keys):
             convert, flag, help_text = CONFIG_KEYS[key]
             if key == "strictness":

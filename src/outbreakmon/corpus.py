@@ -16,13 +16,13 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ParseError, TrainingDataError, diagnose
+from .value import Value
 
 # The exact shapes of a YYYY-MM-DD day and a YYYY-MM-DDTHH:MM:SSZ timestamp
 # in ASCII digits.
@@ -39,16 +39,19 @@ VALID_LABELS = (-1, 1)
 STRICTNESS_MODES = ("strict", "lenient")
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+class TweetRecord(Value):
     """One timestamped text item from the raw stream."""
 
-    id: str
-    timestamp: datetime  # always timezone-aware UTC
-    text: str
-    # the input line, "\n" included, when parse_tweet_line found it already
-    # in to_line's shape; None for a record built any other way
-    source_line: str | None = field(default=None, init=False, compare=False, repr=False)
+    # source_line: the input line, "\n" included, when parse_tweet_line found
+    # it already in to_line's shape; None for a record built any other way
+    __slots__ = ("id", "timestamp", "text", "source_line")
+    _fields = ("id", "timestamp", "text")
+
+    def __init__(self, id: str, timestamp: datetime, text: str):
+        _set_id(self, id)
+        _set_timestamp(self, timestamp)  # always timezone-aware UTC
+        _set_text(self, text)
+        _set_source_line(self, None)
 
     def to_line(self) -> str:
         """Serialize back to the one-record-per-line input format.
@@ -67,20 +70,28 @@ class TweetRecord:
         return self.source_line or self.to_line() + "\n"
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+# The setter of each slot. One record is built per input line, and calling a
+# slot's setter skips the attribute lookup that object.__setattr__ makes.
+_set_id, _set_timestamp, _set_text, _set_source_line = (
+    getattr(TweetRecord, name).__set__ for name in TweetRecord.__slots__)
+
+
+class LabeledExample(Value):
     """A tweet record paired with its hand-assigned relevance label (-1/+1)."""
 
-    record: TweetRecord
-    label: int
+    __slots__ = _fields = ("record", "label")
+
+    def __init__(self, record: TweetRecord, label: int):
+        self._set_slots(record, label)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Value):
     """Validated records in input order, plus the count of rejected lines."""
 
-    records: tuple[TweetRecord, ...]
-    rejected_count: int = 0
+    __slots__ = _fields = ("records", "rejected_count")
+
+    def __init__(self, records: tuple[TweetRecord, ...], rejected_count: int = 0):
+        self._set_slots(records, rejected_count)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -226,7 +237,7 @@ def parse_tweet_line(
         record = _record_from_fields(*canonical.groups(), line_no, _parse_shaped_timestamp)
         # the line is to_line() of the record: json.dumps escapes only what
         # the pattern excludes, and a shaped timestamp formats to itself
-        object.__setattr__(record, "source_line", line if line[-1] == "\n" else line + "\n")
+        _set_source_line(record, line if line[-1] == "\n" else line + "\n")
         return record
     return _record_from_object(_decode_line(line, line_no), line_no, strict)
 

@@ -20,11 +20,11 @@ exact: every token of ``normalize_text(text)`` is a substring of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus import Corpus, _is_unicode
 from .errors import ParseError
+from .value import Value
 
 # Built-in watch list for the 2015 cucumber-linked Salmonella outbreak.
 DEFAULT_PHRASES = (
@@ -44,23 +44,21 @@ _WORD_RUN = re.compile(r"[\w&]+")
 _SEPARATORS = r"(?:[^\w&]|_)+"
 
 
-@dataclass(frozen=True)
-class KeywordSet:
+class KeywordSet(Value):
     """A non-empty collection of non-empty keyword phrases."""
 
-    phrases: tuple[str, ...]
-    # every phrase as a token run in lowercased text, for matches()
-    pattern: re.Pattern = field(init=False, repr=False, compare=False)
-    # the longest token of each normalized phrase, deduplicated: a text whose
-    # lowercase form holds none of them matches no phrase
-    anchors: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # pattern: every phrase as a token run in lowercased text, for matches();
+    # anchors: the longest token of each normalized phrase, deduplicated: a
+    # text whose lowercase form holds none of them matches no phrase
+    __slots__ = ("phrases", "pattern", "anchors")
+    _fields = ("phrases",)
 
-    def __post_init__(self):
-        if not self.phrases:
+    def __init__(self, phrases: tuple[str, ...]):
+        if not phrases:
             raise ValueError("keyword set needs at least one phrase")
         runs: dict[str, None] = {}
         anchors: dict[str, None] = {}
-        for phrase in self.phrases:
+        for phrase in phrases:
             tokens = normalize_text(phrase).split()
             if not tokens:
                 raise ValueError(f"phrase {phrase!r} is empty after normalization")
@@ -72,8 +70,7 @@ class KeywordSet:
                  + "".join(_SEPARATORS + token for token in rest)] = None
             anchors[max(tokens, key=len)] = None
         pattern = rf"(?:{'|'.join(runs)})(?![^\W_])(?!&)"
-        object.__setattr__(self, "pattern", re.compile(pattern))
-        object.__setattr__(self, "anchors", tuple(anchors))
+        self._set_slots(phrases, re.compile(pattern), tuple(anchors))
 
 
 def default_keywords() -> KeywordSet:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import LabeledExample, write_text_atomic
 from .errors import ModelFileError, TrainingDataError
+from .value import Value
 from .vectorizer import (
     SparseVector,
     TfIdfModel,
@@ -38,55 +38,57 @@ MODEL_VERSION = 1
 TraceHook = Callable[[int, list[float], float], None]
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(Value):
     """Solver hyperparameters; defaults are documented and overridable."""
 
-    C: float = 1.0
-    tolerance: float = 1e-4
-    max_epochs: int = 1000
-    seed: int = 42
+    __slots__ = _fields = ("C", "tolerance", "max_epochs", "seed")
 
-    def __post_init__(self):
-        if not (self.C > 0 and math.isfinite(self.C)):
-            raise ValueError(f"C must be positive and finite, got {self.C}")
-        if not (self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.seed < 0:  # random.Random(-s) seeds exactly like random.Random(s)
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class TrainingMeta:
-    C: float
-    epochs_run: int
-    final_objective: float
+    def __init__(self, C: float = 1.0, tolerance: float = 1e-4, max_epochs: int = 1000,
+                 seed: int = 42):
+        if not (C > 0 and math.isfinite(C)):
+            raise ValueError(f"C must be positive and finite, got {C}")
+        if not (tolerance > 0):
+            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        if max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
+        if seed < 0:  # random.Random(-s) seeds exactly like random.Random(s)
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self._set_slots(C, tolerance, max_epochs, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class SvmModel:
+class TrainingMeta(Value):
+    """How training went: the penalty C it used, the epochs it ran, and the
+    primal objective of the returned iterate. Saved with the model."""
+
+    __slots__ = _fields = ("C", "epochs_run", "final_objective")
+
+    def __init__(self, C: float, epochs_run: int, final_objective: float):
+        self._set_slots(C, epochs_run, final_objective)
+
+
+class SvmModel(Value):
     """Decision boundary (weights, bias) plus the vectorizer that feeds it.
 
     ``weights`` accepts any sequence of numbers and is stored as a tuple of
-    Python floats.
+    Python floats; its length equals the vocabulary size when ``vectorizer``
+    is set. Two models are equal only when they are the same object.
     """
 
-    weights: tuple[float, ...]  # length equals vocabulary size when vectorizer is set
-    bias: float
-    vectorizer: TfIdfModel | None
-    training_meta: TrainingMeta
+    __slots__ = _fields = ("weights", "bias", "vectorizer", "training_meta")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        if not all(map(math.isfinite, self.weights)) or not math.isfinite(self.bias):
+    def __init__(self, weights: Sequence[float], bias: float, vectorizer: TfIdfModel | None,
+                 training_meta: TrainingMeta):
+        weights = tuple(map(float, weights))
+        if not all(map(math.isfinite, weights)) or not math.isfinite(bias):
             raise ValueError("model weights and bias must be finite")
-        if self.vectorizer is not None and len(self.weights) != len(self.vectorizer.vocabulary):
+        if vectorizer is not None and len(weights) != len(vectorizer.vocabulary):
             raise ValueError(
-                f"weights length {len(self.weights)} does not match "
-                f"vocabulary size {len(self.vectorizer.vocabulary)}"
+                f"weights length {len(weights)} does not match "
+                f"vocabulary size {len(vectorizer.vocabulary)}"
             )
+        self._set_slots(weights, bias, vectorizer, training_meta)
 
 
 def objective(

@@ -14,12 +14,12 @@ import csv
 import io
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import TweetRecord, _is_unicode, parse_date
 from .errors import TimelineError
+from .value import Value
 
 ILLNESS_ONSET = "illness_onset"
 ANNOUNCEMENT = "announcement"
@@ -33,50 +33,53 @@ TIMELINE_HEADER = ("date", "kind", "new_ill", "cumulative_ill", "states", "note"
 _COUNT_SHAPE = re.compile(r"[0-9]*")
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(Value):
     """One dated event: an official announcement, a recall, or the onset."""
 
-    date: date
-    kind: str
-    new_ill: int | None = None
-    cumulative_ill: int | None = None
-    states: int | None = None
-    note: str = ""
+    __slots__ = _fields = ("date", "kind", "new_ill", "cumulative_ill", "states", "note")
 
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        for name in ("new_ill", "cumulative_ill", "states"):
-            value = getattr(self, name)
+    def __init__(self, date: date, kind: str, new_ill: int | None = None,
+                 cumulative_ill: int | None = None, states: int | None = None, note: str = ""):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        for name, value in (("new_ill", new_ill), ("cumulative_ill", cumulative_ill),
+                            ("states", states)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        self._set_slots(date, kind, new_ill, cumulative_ill, states, note)
 
 
-@dataclass(frozen=True)
-class EventTimeline:
+class EventTimeline(Value):
     """Date-ordered events. parse_timeline_file returns only timelines that
     pass validate_timeline; one constructed directly is unchecked until
     validate_timeline runs on it."""
 
-    events: tuple[EventRecord, ...]
+    __slots__ = _fields = ("events",)
+
+    def __init__(self, events: tuple[EventRecord, ...]):
+        self._set_slots(events)
 
     def announcements(self) -> tuple[EventRecord, ...]:
         return tuple(e for e in self.events if e.kind in BOUNDARY_KINDS)
 
 
-@dataclass(frozen=True)
-class PeriodRow:
+class PeriodRow(Value):
     """One aggregation row; start None means pre-period, end None means open."""
 
-    start: date | None
-    end: date | None
-    count: int
+    __slots__ = _fields = ("start", "end", "count")
+
+    def __init__(self, start: date | None, end: date | None, count: int):
+        self._set_slots(start, end, count)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    rows: tuple[PeriodRow, ...]
+class PeriodReport(Value):
+    """Tweet counts per announcement period, one row per period in date
+    order, the pre-period first (see ``period_counts``)."""
+
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[PeriodRow, ...]):
+        self._set_slots(rows)
 
     @property
     def total(self) -> int:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import TrainingDataError
+from .value import Value
 
 # Tokenization policy identifier; stored in model files so a model file is
 # self-describing. Any change to tokenize() must introduce a new identifier.
@@ -30,47 +30,47 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN_RE.findall(text.lower()) if not tok.isdigit()]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Value):
     """Term index, per-term document frequencies, and training-corpus size."""
 
-    terms: dict[str, int]  # term -> dense index, first-seen order
-    doc_frequency: dict[str, int]  # term -> number of training docs containing it
-    corpus_size: int
-    # term -> (dense index, idf), built once for vectorize()
-    index_idf: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
+    # index_idf: term -> (dense index, idf), built once for vectorize()
+    __slots__ = ("terms", "doc_frequency", "corpus_size", "index_idf")
+    _fields = ("terms", "doc_frequency", "corpus_size")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index_idf", {
+    def __init__(self, terms: dict[str, int], doc_frequency: dict[str, int], corpus_size: int):
+        """``terms`` maps each term to its dense index, in first-seen order;
+        ``doc_frequency`` to the number of training docs containing it."""
+        self._set_slots(terms, doc_frequency, corpus_size, {})
+        self.index_idf.update({
             term: (index, inverse_document_frequency(self, term))
-            for term, index in self.terms.items()
+            for term, index in terms.items()
         })
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Value):
     """Index-sorted, zero-free (index, value) entries of a tweet vector."""
 
-    entries: tuple[tuple[int, float], ...] = ()
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[int, float], ...] = ()):
         prev = -1
-        for index, value in self.entries:
+        for index, value in entries:
             if index <= prev:
                 raise ValueError("entries must have strictly increasing indices")
             if value == 0.0:
                 raise ValueError("zero values must not be stored")
             prev = index
+        self._set_slots(entries)
 
     @classmethod
     def _unchecked(cls, entries: tuple[tuple[int, float], ...]) -> SparseVector:
         """A vector from entries already sorted and zero-free (``vectorize``
         builds them so); skips the checks of the public constructor."""
         vector = object.__new__(cls)
-        object.__setattr__(vector, "entries", entries)
+        _set_entries(vector, entries)
         return vector
 
     def dot(self, dense: Sequence[float]) -> float:
@@ -96,11 +96,18 @@ class SparseVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class TfIdfModel:
+# The setter of the slot. One vector is built per distinct scored text, and
+# calling it skips the attribute lookup that object.__setattr__ makes.
+_set_entries = SparseVector.entries.__set__
+
+
+class TfIdfModel(Value):
     """A vocabulary fitted on texts tokenized by ``tokenize`` (TOKEN_RULES_V1)."""
 
-    vocabulary: Vocabulary
+    __slots__ = _fields = ("vocabulary",)
+
+    def __init__(self, vocabulary: Vocabulary):
+        self._set_slots(vocabulary)
 
 
 def build_vocabulary(training_docs: Iterable[Sequence[str]]) -> Vocabulary:

@@ -1,6 +1,5 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
 import argparse
-import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ import pytest
 
 import outbreakmon
 from outbreakmon.cli import (
+    COMMANDS,
     CONFIG_KEYS,
     DAILY_CSV_NAME,
     EXIT_IO,
@@ -285,7 +285,7 @@ def test_every_config_key_has_a_flag_case():
 
 
 def test_config_keys_are_the_config_fields():
-    assert [field.name for field in dataclasses.fields(PipelineConfig)] == list(CONFIG_KEYS)
+    assert list(PipelineConfig._fields) == list(CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("key", sorted(FLAG_CASES))
@@ -497,3 +497,28 @@ def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, command, unbu
     assert len(errors) == 1 and "cannot write standard output" in errors[0], result.stderr
     assert "Traceback" not in result.stderr
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize("key", ["input", "keywords", "labeled", "model", "timeline", "output"])
+def test_an_empty_path_is_refused_naming_its_setting(tmp_path, capsys, monkeypatch, key):
+    # Path("") is ".": read as a path, an empty value named the working directory
+    monkeypatch.chdir(tmp_path)
+    command = next(name for name, (_, keys) in COMMANDS.items() if key in ("output", *keys))
+    flag = CONFIG_KEYS[key][1]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, "", "--quiet"])
+    assert excinfo.value.code == EXIT_IO
+    assert f"argument {flag}: invalid parse_path value: ''" in capsys.readouterr().err
+    (tmp_path / "run.conf").write_text(f"# settings\n{key} =\n", encoding="utf-8")
+    assert main([command, "--config", "run.conf", "--quiet"]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"ERROR bad arguments: run.conf:2: bad value for {key}: empty path\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.conf"]
+
+
+def test_an_empty_config_path_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["filter", "--config", "", "--quiet"])
+    assert excinfo.value.code == EXIT_IO
+    assert "argument --config: invalid parse_path value: ''" in capsys.readouterr().err

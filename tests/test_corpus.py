@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 from datetime import datetime, timedelta, timezone
@@ -246,7 +245,7 @@ def test_only_a_parsed_canonical_line_is_echoed():
     echoed = parse_tweet_line(GOOD_LINE)
     built = TweetRecord(echoed.id, echoed.timestamp, echoed.text)
     decoded = parse_tweet_line(make_line(text=echoed.text))
-    changed = dataclasses.replace(echoed, text="salmonella")
+    changed = TweetRecord(echoed.id, echoed.timestamp, "salmonella")
     assert echoed.source_line == GOOD_LINE + "\n"
     assert built.source_line is decoded.source_line is changed.source_line is None
     assert echoed == built == decoded and repr(echoed) == repr(built)

@@ -123,9 +123,11 @@ def test_pipeline_writes_exactly_these_diagnostics(work, tmp_path, flags, expect
     assert stderr == "".join(line + "\n" for line in expected)
 
 
-def test_importing_the_cli_does_not_import_logging():
+@pytest.mark.parametrize("module", ["logging", "dataclasses", "inspect"])
+def test_importing_the_cli_does_not_import(module):
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, outbreakmon.cli; sys.exit('logging' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, outbreakmon.cli; sys.exit({module!r} in sys.modules)"],
         env=_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
 

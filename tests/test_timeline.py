@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -227,7 +226,9 @@ class TestValidateTimeline:
                 continue
             for delta in (-1, +1):
                 mutated = list(base.events)
-                mutated[index] = replace(event, cumulative_ill=event.cumulative_ill + delta)
+                mutated[index] = EventRecord(event.date, event.kind, event.new_ill,
+                                             event.cumulative_ill + delta, event.states,
+                                             event.note)
                 assert validate_timeline(EventTimeline(events=tuple(mutated))), (
                     f"perturbation at index {index} delta {delta} not caught"
                 )
