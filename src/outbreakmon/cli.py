@@ -451,6 +451,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def flag_type(convert):
+        # a ValueError would be reported as "invalid parse_path value: ''"; an
+        # ArgumentTypeError shows its message, as a config file's bad value does
+        def converted(value: str):
+            try:
+                return convert(value)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return converted
+
     parser = _Parser(
         prog="outbreakmon",
         description="Filter a tweet stream by keyword phrases, classify relevance "
@@ -460,14 +470,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        p.add_argument("--config", type=parse_path, help="flat key = value config file")
+        p.add_argument("--config", type=flag_type(parse_path),
+                       help="flat key = value config file")
         for key in ("output", *keys):
             convert, flag, help_text = CONFIG_KEYS[key]
             if key == "strictness":
                 p.add_argument(flag, action="store_const", const="strict", dest=key,
                                help=help_text)
             else:
-                p.add_argument(flag, dest=key, type=convert, help=help_text)
+                p.add_argument(flag, dest=key, type=flag_type(convert), help=help_text)
         p.add_argument("--quiet", action="store_true", default=None,
                        help="suppress informational messages")
     for command, (summary, _) in BUILTINS.items():

@@ -19,7 +19,7 @@ from contextlib import contextmanager, suppress
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import ParseError, TrainingDataError, diagnose
 from .value import Value
@@ -40,7 +40,7 @@ STRICTNESS_MODES = ("strict", "lenient")
 
 
 class TweetRecord(Value):
-    """One timestamped text item from the raw stream."""
+    """One text item from the raw stream, timestamped in aware UTC."""
 
     # source_line: the input line, "\n" included, when parse_tweet_line found
     # it already in to_line's shape; None for a record built any other way
@@ -48,10 +48,7 @@ class TweetRecord(Value):
     _fields = ("id", "timestamp", "text")
 
     def __init__(self, id: str, timestamp: datetime, text: str):
-        _set_id(self, id)
-        _set_timestamp(self, timestamp)  # always timezone-aware UTC
-        _set_text(self, text)
-        _set_source_line(self, None)
+        self._set_slots(id, timestamp, text, None)
 
     def to_line(self) -> str:
         """Serialize back to the one-record-per-line input format.
@@ -70,8 +67,8 @@ class TweetRecord(Value):
         return self.source_line or self.to_line() + "\n"
 
 
-# The setter of each slot. One record is built per input line, and calling a
-# slot's setter skips the attribute lookup that object.__setattr__ makes.
+# The setter of each slot. parse_tweet_line builds one record per input line,
+# and calling a slot's setter skips the lookup object.__setattr__ makes.
 _set_id, _set_timestamp, _set_text, _set_source_line = (
     getattr(TweetRecord, name).__set__ for name in TweetRecord.__slots__)
 
@@ -116,18 +113,20 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     other date shape is an error rather than a guess.
     """
     if isinstance(raw, str) and _TIMESTAMP_SHAPE.fullmatch(raw):
-        return _parse_shaped_timestamp(raw, line_no)
+        instant = _utc_from_shaped(raw)
+        if instant is not None:
+            return instant
     raise _timestamp_error(raw, line_no)
 
 
-def _parse_shaped_timestamp(raw: str, line_no: int | None) -> datetime:
-    """parse_timestamp of a string already known to be in _TIMESTAMP_SHAPE."""
+def _utc_from_shaped(raw: str) -> datetime | None:
+    """The instant of a timestamp already in _TIMESTAMP_SHAPE, or None for an
+    impossible date such as 2015-02-30."""
     try:
         # "+00:00", not "Z": Python 3.10's fromisoformat rejects "Z"
         return datetime.fromisoformat(raw[:-1] + "+00:00")
     except ValueError:
-        # right shape, impossible date such as 2015-02-30
-        raise _timestamp_error(raw, line_no) from None
+        return None
 
 
 def _timestamp_error(raw: object, line_no: int | None) -> ParseError:
@@ -164,61 +163,6 @@ def _is_unicode(value: str) -> bool:
     return True
 
 
-def _decode_line(line: str, line_no: int | None) -> dict:
-    """The JSON object of one input line."""
-    if not _is_unicode(line):
-        raise ParseError("invalid UTF-8", line_no)
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        # some messages end in a bare "at" ("Invalid control character at")
-        reason = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
-        raise ParseError(f"invalid JSON ({reason})", line_no) from None
-    except RecursionError:
-        raise ParseError("invalid JSON (nested too deeply)", line_no) from None
-    if not isinstance(obj, dict):
-        raise ParseError("record is not an object", line_no)
-    return obj
-
-
-def _record_from_object(obj: dict, line_no: int | None, strict: bool) -> TweetRecord:
-    if strict:
-        unknown = sorted(set(obj) - KNOWN_FIELDS)
-        if unknown:
-            raise ParseError(f"unknown fields: {', '.join(unknown)}", line_no)
-
-    record_id, raw_timestamp, text = obj.get("id"), obj.get("timestamp"), obj.get("text")
-    if not (type(record_id) is type(raw_timestamp) is type(text) is str):
-        for field in ("id", "timestamp", "text"):
-            if field not in obj:
-                raise ParseError(f"missing field {field!r}", line_no)
-            if not isinstance(obj[field], str):
-                raise ParseError(f"field {field!r} must be a string", line_no)
-    return _record_from_fields(record_id, raw_timestamp, text, line_no, parse_timestamp)
-
-
-def _record_from_fields(
-    record_id: str, raw_timestamp: str, text: str, line_no: int | None,
-    parse_time: Callable[[str, int | None], datetime],
-) -> TweetRecord:
-    """The checks on a record's three string fields, in the same order
-    whether json.loads or _CANONICAL_LINE read them from the line.
-    ``parse_time`` is parse_timestamp, or _parse_shaped_timestamp when
-    _CANONICAL_LINE has already checked the timestamp's shape."""
-    # "not s or s.isspace()" equals "not s.strip()" and copies nothing
-    if not record_id or record_id.isspace():
-        raise ParseError("empty id", line_no)
-    timestamp = parse_time(raw_timestamp, line_no)
-    if not text or text.isspace():
-        raise ParseError("empty text", line_no)
-    if not (record_id.isascii() and text.isascii()):
-        for field, value in (("id", record_id), ("text", text)):
-            if not _is_unicode(value):
-                raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
-
-    return TweetRecord(record_id, timestamp, text)
-
-
 def parse_tweet_line(
     line: str, *, line_no: int | None = None, strict: bool = False
 ) -> TweetRecord:
@@ -229,26 +173,64 @@ def parse_tweet_line(
     that is empty after trimming, and an id or text holding a lone
     surrogate. ``strict`` additionally rejects unknown fields.
     """
-    # a line in to_line's shape skips json.loads and the second timestamp
-    # shape check; a lone surrogate in it must still be reported as invalid
-    # UTF-8, as _decode_line does
-    canonical = _CANONICAL_LINE.fullmatch(line)
-    if canonical and _is_unicode(line):
-        record = _record_from_fields(*canonical.groups(), line_no, _parse_shaped_timestamp)
-        # the line is to_line() of the record: json.dumps escapes only what
-        # the pattern excludes, and a shaped timestamp formats to itself
-        _set_source_line(record, line if line[-1] == "\n" else line + "\n")
-        return record
-    return _record_from_object(_decode_line(line, line_no), line_no, strict)
+    # A line in to_line's shape skips json.loads and the second timestamp
+    # shape check, and is its record's output line: json.dumps escapes only
+    # what the pattern excludes, and a shaped timestamp formats to itself.
+    # Only a line that is UTF-8 takes this path, so its fields are too.
+    match = _CANONICAL_LINE.fullmatch(line)
+    canonical = match is not None and _is_unicode(line)
+    if canonical:
+        record_id, raw_timestamp, text = match.groups()
+        source_line = line if line[-1] == "\n" else line + "\n"
+    else:
+        if not _is_unicode(line):
+            raise ParseError("invalid UTF-8", line_no)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            # some messages end in a bare "at" ("Invalid control character at")
+            reason = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
+            raise ParseError(f"invalid JSON ({reason})", line_no) from None
+        except RecursionError:
+            raise ParseError("invalid JSON (nested too deeply)", line_no) from None
+        if not isinstance(obj, dict):
+            raise ParseError("record is not an object", line_no)
+        if strict:
+            unknown = sorted(set(obj) - KNOWN_FIELDS)
+            if unknown:
+                raise ParseError(f"unknown fields: {', '.join(unknown)}", line_no)
+        record_id, raw_timestamp, text = obj.get("id"), obj.get("timestamp"), obj.get("text")
+        if not (type(record_id) is type(raw_timestamp) is type(text) is str):
+            for field in ("id", "timestamp", "text"):
+                if field not in obj:
+                    raise ParseError(f"missing field {field!r}", line_no)
+                if not isinstance(obj[field], str):
+                    raise ParseError(f"field {field!r} must be a string", line_no)
+        source_line = None
 
+    # The checks on the three string fields, in one order whichever way they
+    # were read. "not s or s.isspace()" equals "not s.strip()" and copies nothing.
+    if not record_id or record_id.isspace():
+        raise ParseError("empty id", line_no)
+    if canonical:  # parse_timestamp, less the shape check _CANONICAL_LINE made
+        timestamp = _utc_from_shaped(raw_timestamp)
+        if timestamp is None:
+            raise _timestamp_error(raw_timestamp, line_no)
+    else:
+        timestamp = parse_timestamp(raw_timestamp, line_no)
+    if not text or text.isspace():
+        raise ParseError("empty text", line_no)
+    if not canonical and not (record_id.isascii() and text.isascii()):
+        for field, value in (("id", record_id), ("text", text)):
+            if not _is_unicode(value):
+                raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
 
-def parse_label(obj_label: object, line_no: int | None = None) -> int:
-    """Validate a label field value; only the integers -1 and +1 are legal."""
-    if isinstance(obj_label, bool) or not isinstance(obj_label, int):
-        raise ParseError(f"label must be the integer -1 or 1, got {obj_label!r}", line_no)
-    if obj_label not in VALID_LABELS:
-        raise ParseError(f"label must be -1 or 1, got {obj_label}", line_no)
-    return obj_label
+    record = object.__new__(TweetRecord)  # TweetRecord() would cost an __init__ frame
+    _set_id(record, record_id)
+    _set_timestamp(record, timestamp)
+    _set_text(record, text)
+    _set_source_line(record, source_line)
+    return record
 
 
 class RecordStream:
@@ -308,11 +290,15 @@ def load_labeled_set(lines: Iterable[str]) -> list[LabeledExample]:
     examples: list[LabeledExample] = []
     seen_ids: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
-        obj = _decode_line(line, line_no)
-        record = _record_from_object(obj, line_no, strict=False)
+        record = parse_tweet_line(line, line_no=line_no)
+        obj = json.loads(line)  # cannot fail: parse_tweet_line has decoded it
         if "label" not in obj:
             raise ParseError("missing field 'label'", line_no)
-        label = parse_label(obj["label"], line_no)
+        label = obj["label"]
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise ParseError(f"label must be the integer -1 or 1, got {label!r}", line_no)
+        if label not in VALID_LABELS:
+            raise ParseError(f"label must be -1 or 1, got {label}", line_no)
         if record.id in seen_ids:
             raise ParseError(f"duplicate id {record.id!r}", line_no)
         seen_ids.add(record.id)

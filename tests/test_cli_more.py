@@ -375,10 +375,15 @@ def test_date_settings_take_only_yyyy_mm_dd(tmp_path, capsys, raw):
     with pytest.raises(SystemExit) as excinfo:
         _build_parser().parse_args(["report", "--daily-start", raw])
     assert excinfo.value.code == EXIT_IO
+    flag_error = capsys.readouterr().err.splitlines()[-1]
     config = tmp_path / "run.conf"
     config.write_text(f"daily_end = {raw}\n", encoding="utf-8")
     assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
-    assert "bad value for daily_end" in capsys.readouterr().err
+    config_error = capsys.readouterr().err
+    assert "bad value for daily_end: " in config_error
+    # the flag names the same fault as the config file, not parse_date
+    reason = config_error.partition("bad value for daily_end: ")[2].rstrip("\n")
+    assert flag_error == f"outbreakmon report: error: argument --daily-start: {reason}"
 
 
 
@@ -508,7 +513,7 @@ def test_an_empty_path_is_refused_naming_its_setting(tmp_path, capsys, monkeypat
     with pytest.raises(SystemExit) as excinfo:
         main([command, flag, "", "--quiet"])
     assert excinfo.value.code == EXIT_IO
-    assert f"argument {flag}: invalid parse_path value: ''" in capsys.readouterr().err
+    assert f"argument {flag}: empty path\n" in capsys.readouterr().err
     (tmp_path / "run.conf").write_text(f"# settings\n{key} =\n", encoding="utf-8")
     assert main([command, "--config", "run.conf", "--quiet"]) == EXIT_IO
     assert capsys.readouterr().err == (
@@ -521,4 +526,4 @@ def test_an_empty_config_path_is_refused(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["filter", "--config", "", "--quiet"])
     assert excinfo.value.code == EXIT_IO
-    assert "argument --config: invalid parse_path value: ''" in capsys.readouterr().err
+    assert "argument --config: empty path\n" in capsys.readouterr().err

@@ -1,17 +1,18 @@
 import json
 import os
+import re
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from outbreakmon import corpus
 from outbreakmon.corpus import (
     _CANONICAL_LINE,
     Corpus,
     TweetRecord,
-    _decode_line,
-    _record_from_object,
     class_counts,
     format_timestamp,
     load_corpus,
@@ -188,11 +189,30 @@ def _outcome(parse):
          rendering="unescaped", strict=False, line_no=7)
 @example(record_id="a", timestamp="2015-09-04T12:00:00Z", text="x", rendering="compact-crlf",
          strict=True, line_no=7)
+# two faults on one line: the first check to fail names the line's fault
+@example(record_id="", timestamp="2015-02-30T12:00:00Z", text="x", rendering="compact",
+         strict=False, line_no=7)
+@example(record_id="a\ud83d", timestamp="2015-09-04T12:00:00Z", text="",
+         rendering="json-dumps-defaults", strict=False, line_no=7)
 def test_parse_tweet_line_equals_the_full_json_parse(record_id, timestamp, text, rendering,
                                                      strict, line_no):
     line = _RENDERINGS[rendering]({"id": record_id, "timestamp": timestamp, "text": text})
-    assert _outcome(lambda: parse_tweet_line(line, line_no=line_no, strict=strict)) \
-        == _outcome(lambda: _record_from_object(_decode_line(line, line_no), line_no, strict))
+    outcome = _outcome(lambda: parse_tweet_line(line, line_no=line_no, strict=strict))
+    # the oracle reads the same line with json.loads: no line is canonical
+    with mock.patch.object(corpus, "_CANONICAL_LINE", re.compile(r"(?!)")):
+        assert outcome == _outcome(lambda: parse_tweet_line(line, line_no=line_no,
+                                                            strict=strict))
+
+
+@pytest.mark.parametrize("line, reason", [
+    (_compact({"id": "", "timestamp": "2015-02-30T12:00:00Z", "text": "x"}), "empty id"),
+    (json.dumps({"id": "a\ud83d", "timestamp": "2015-09-04T12:00:00Z", "text": ""}),
+     "empty text"),
+], ids=["empty-id-before-impossible-date", "empty-text-before-lone-surrogate"])
+def test_the_first_failed_check_names_the_fault(line, reason):
+    with pytest.raises(ParseError) as excinfo:
+        parse_tweet_line(line, line_no=7)
+    assert str(excinfo.value) == f"line 7: {reason}"
 
 
 @pytest.mark.parametrize("line", [

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -220,6 +221,52 @@ class TestVectorize:
         assert all(value >= 0.0 for _, value in vector.entries)
         distinct_in_vocab = {"aa", "cc", "ff"}
         assert len(vector) <= len(distinct_in_vocab)
+
+
+# "every" is in every training document, so its idf is 0 and it makes no entry.
+_MIXED_TRAINING = ["every salmonella outbreak çava", "every cucumbers salmonella naïve",
+                   "every outbreak h1n1 recall", "every recall naïve naïve"]
+_IN_VOCABULARY = ["every", "salmonella", "SALMONELLA", "outbreak", "Çava", "naïve", "h1n1",
+                  "recall", "cucumbers"]
+# Pieces that add no vocabulary term: out-of-vocabulary words, handles,
+# hashtags and URLs, pure numbers, single characters and bare separators.
+_OUT_OF_VOCABULARY = ["@cdcgov", "#outbreak2015", "http://t.co/x1", "zq9x", "123", "2015",
+                      "a", "É", "_", "&", "fat_boy", "at&t", "ça", "²²", "salmonellosis"]
+
+
+class TestOutOfVocabularyTokens:
+    model = fit_tfidf(_MIXED_TRAINING)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(_IN_VOCABULARY + _OUT_OF_VOCABULARY), max_size=12),
+           separator=st.sampled_from([" ", "_", "&", "-", "  "]))
+    @example(pieces=["salmonella", "salmonella", "zq9x", "zq9x", "zq9x"], separator=" ")
+    def test_bit_equal_to_a_by_hand_formula_on_mixed_texts(self, pieces, separator):
+        text = separator.join(pieces)
+        vocab = self.model.vocabulary
+        counts = Counter(tokenize(text))
+        highest = max(counts.values(), default=0)
+        by_hand = []
+        for term, n in counts.items():
+            if term in vocab.terms:
+                value = (0.5 + 0.5 * n / highest) * inverse_document_frequency(vocab, term)
+                if value != 0.0:
+                    by_hand.append((vocab.terms[term], value))
+        assert vectorize(self.model, text).entries == tuple(sorted(by_hand))
+
+    # Each piece is kept in the text, or added to it only in the second one;
+    # an added piece is always outside the vocabulary.
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.one_of(
+        st.tuples(st.sampled_from(_IN_VOCABULARY + _OUT_OF_VOCABULARY), st.just(False)),
+        st.tuples(st.sampled_from(_OUT_OF_VOCABULARY), st.just(True))), max_size=12))
+    @example(pieces=[("salmonella", False), ("#outbreak2015", True), ("@cdcgov", True)])
+    def test_added_tokens_outside_the_vocabulary_change_nothing(self, pieces):
+        text = " ".join(piece for piece, added in pieces if not added)
+        extended = " ".join(piece for piece, _ in pieces)
+        highest = [max(Counter(tokenize(t)).values(), default=0) for t in (text, extended)]
+        assume(highest[0] == highest[1])
+        assert vectorize(self.model, text) == vectorize(self.model, extended)
 
 
 class TestSparseVector:
