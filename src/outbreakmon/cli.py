@@ -100,10 +100,6 @@ class PipelineConfig(Value):
     __slots__ = _fields = ("input", "keywords", "labeled", "model", "timeline", "output",
                            "strictness", "c", "tolerance", "max_epochs", "seed",
                            "daily_start", "daily_end", "final_cutoff")
-    # the one mutable value type, so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, input: Path | None = None, keywords: Path | None = None,
                  labeled: Path | None = None, model: Path | None = None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 from .errors import TrainingDataError
@@ -19,15 +20,16 @@ from .value import Value
 # self-describing. Any change to tokenize() must introduce a new identifier.
 TOKEN_RULES_V1 = "lower/alnum-split/minlen2/dropnum"
 
-# A maximal alphanumeric run of two or more characters: a shorter run can
-# never match, so the regex alone drops single-character tokens.
-_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
+# A maximal alphanumeric run of two or more characters once ``_`` is folded
+# to a space (``\w`` is exactly ``str.isalnum()`` plus ``_``): a shorter run
+# can never match, so the regex alone drops single-character tokens.
+_TOKEN_RE = re.compile(r"\w{2,}")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumerics (incl. ``&`` and ``_``), and
     drop single-character tokens and pure numbers."""
-    return [tok for tok in _TOKEN_RE.findall(text.lower()) if not tok.isdigit()]
+    return list(filterfalse(str.isdigit, _TOKEN_RE.findall(text.lower().replace("_", " "))))
 
 
 class Vocabulary(Value):

@@ -128,11 +128,14 @@ def test_vocabularies_compare_on_terms_frequencies_and_size_only():
     assert first != Vocabulary(first.terms, first.doc_frequency, 3)
 
 
-def test_pipeline_config_is_a_mutable_unhashable_value():
+def test_pipeline_config_is_a_frozen_hashable_value():
     config = PipelineConfig()
     assert config == PipelineConfig() and config != PipelineConfig(seed=7)
     assert repr(PipelineConfig(seed=7)).startswith("PipelineConfig(input=None, keywords=None,")
-    with pytest.raises(TypeError):
-        hash(config)
-    config.seed = 7
-    assert config == PipelineConfig(seed=7)
+    with pytest.raises(AttributeError):
+        config.seed = 7
+    with pytest.raises(AttributeError):
+        del config.seed
+    assert config.replace(seed=7) == PipelineConfig(seed=7) and config == PipelineConfig()
+    assert hash(config) == hash(PipelineConfig())
+    assert len({config, PipelineConfig(), config.replace(seed=7)}) == 2

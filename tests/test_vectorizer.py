@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -49,6 +50,14 @@ class TestTokenize:
         st.characters(), st.sampled_from("aZ09_& ²İ\u0307\u00b9\u0661ǅ"))))
     @example(text="a_b a&b x² ²² 1² İİ aİ __ab__ 9a 99")
     def test_equals_the_findall_then_filter_rule(self, text):
+        assert tokenize(text) == findall_tokenize(text)
+
+    # tokenize runs \w over text with "_" folded to a space; the oracle runs
+    # [^\W_]. Every code point of this Python's Unicode tables, on its own
+    # doubled and between two ASCII letters, shows the two classes agree.
+    @pytest.mark.parametrize("context", ["{0}{0}", "a{0}b"])
+    def test_equals_the_findall_then_filter_rule_on_every_code_point(self, context):
+        text = "".join(context.format(chr(point)) for point in range(sys.maxunicode + 1))
         assert tokenize(text) == findall_tokenize(text)
 
 
