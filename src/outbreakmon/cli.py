@@ -124,6 +124,12 @@ def parse_path(value: str) -> Path:
     return Path(value)
 
 
+def parse_strictness(value: str) -> str:
+    if value not in STRICTNESS_MODES:
+        raise ValueError(f"must be strict or lenient, got {value!r}")
+    return value
+
+
 # config-file key (a PipelineConfig field) -> (converter from a string, flag,
 # help); `--strict` is the one flag that takes no value
 CONFIG_KEYS = {
@@ -134,7 +140,7 @@ CONFIG_KEYS = {
               "model file (train writes it; classify and pipeline read it)"),
     "timeline": (parse_path, "--timeline", "timeline CSV (default: builtin CDC timeline)"),
     "output": (parse_path, "--output", "output directory (default: current directory)"),
-    "strictness": (str, "--strict", "abort on the first malformed line"),
+    "strictness": (parse_strictness, "--strict", "abort on the first malformed line"),
     "c": (float, "--c-param", f"soft-margin penalty C (default {_TRAINING.C})"),
     "tolerance": (float, "--tolerance",
                   f"stopping tolerance (default {_TRAINING.tolerance})"),
@@ -214,8 +220,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         cfg = cfg.replace(**parse_config_file(args.config))
     cfg = cfg.replace(**{key: getattr(args, key) for key in CONFIG_KEYS
                          if getattr(args, key, None) is not None})
-    if cfg.strictness not in STRICTNESS_MODES:
-        raise ValueError(f"strictness must be strict or lenient, got {cfg.strictness!r}")
     if cfg.daily_start and cfg.daily_end and cfg.daily_end < cfg.daily_start:
         raise ValueError(f"inverted daily interval: {cfg.daily_start}..{cfg.daily_end}")
     return cfg
@@ -331,10 +335,8 @@ def run_train(cfg: PipelineConfig) -> None:
     with _open_records(cfg.labeled) as fh:
         examples = load_labeled_set(fh)
     negative, positive = class_counts(examples)
-    train_config = TrainingConfig(
-        C=cfg.c, tolerance=cfg.tolerance, max_epochs=cfg.max_epochs, seed=cfg.seed
-    )
-    model = train_from_labeled(examples, train_config)
+    model = train_from_labeled(examples, TrainingConfig(
+        C=cfg.c, tolerance=cfg.tolerance, max_epochs=cfg.max_epochs, seed=cfg.seed))
     save_model(model, cfg.model)
     accuracy = training_accuracy(model, examples)
     meta = model.training_meta
@@ -424,10 +426,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "inputs": input_hashes(cfg),
         "stages": stages,
     }
-    write_text_atomic(
-        cfg.output / MANIFEST_NAME,
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    write_text_atomic(cfg.output / MANIFEST_NAME,
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _info(f"pipeline complete; manifest -> {cfg.output / MANIFEST_NAME}")
     return manifest
 

@@ -103,7 +103,11 @@ def svm_qp_solve(X, y, C, tol=1e-10):
 
 
 def svm_grid_solve(X, y, C, span=6.0, levels=48, points=13):
-    """Derivative-free check: nested grid refinement over (w, b)."""
+    """Derivative-free check: nested grid refinement over (w, b).
+
+    Each level's grid is scored in one array expression, the primal value
+    row by row as svm_primal_value computes it; the first candidate of the
+    smallest value wins, and only if it beats the best so far."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     center = np.zeros(X.shape[1] + 1)
@@ -111,11 +115,14 @@ def svm_grid_solve(X, y, C, span=6.0, levels=48, points=13):
     best_val = np.inf
     for _ in range(levels):
         axes = [np.linspace(c - width, c + width, points) for c in center]
-        for candidate in itertools.product(*axes):
-            candidate = np.asarray(candidate)
-            value = svm_primal_value(candidate[:-1], candidate[-1], X, y, C)
-            if value < best_val:
-                best_val, center = value, candidate
+        grid = np.array(list(itertools.product(*axes)))
+        w, b = grid[:, :-1], grid[:, -1]
+        hinge = np.maximum(0.0, 1.0 - y * (w @ X.T + b[:, None]))
+        squared_norms = (w[:, None, :] @ w[:, :, None])[:, 0, 0]  # each row's w @ w
+        values = 0.5 * (squared_norms + b * b) + C * hinge.sum(axis=1)
+        first = int(np.argmin(values))
+        if values[first] < best_val:
+            best_val, center = float(values[first]), grid[first]
         width *= 0.55
     return center[:-1], float(center[-1]), best_val
 

@@ -161,3 +161,13 @@ def stream_lines(total: int, seed: int = 1337) -> list[str]:
         instant = start + timedelta(seconds=(i * 200_003) % (50 * 86400))
         lines.append(record_line(f"s{i}", instant, text))
     return lines
+
+
+if __name__ == "__main__":
+    # python tests/synthdata.py DIR: write DIR/labeled.jsonl and DIR/stream.jsonl
+    import sys
+    from pathlib import Path
+
+    for name, lines in (("labeled", labeled_lines(30, 30)), ("stream", stream_lines(500))):
+        Path(sys.argv[1], f"{name}.jsonl").write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8")

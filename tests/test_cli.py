@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
@@ -17,21 +17,18 @@ from outbreakmon.cli import (
     FILTERED_NAME,
     MANIFEST_NAME,
     PERIOD_CSV_NAME,
+    PIPELINE_OUTPUTS,
     RELEVANT_NAME,
     main,
 )
 from outbreakmon.corpus import load_corpus
-from outbreakmon.keywords import DEFAULT_PHRASES
 from outbreakmon.svm import SvmModel, decision_value, load_model, predict, save_model
-from outbreakmon.timeline import (
-    BUILTIN_CDC_TIMELINE_CSV,
-    builtin_cdc_timeline,
-    parse_timeline_file,
-)
+from outbreakmon.timeline import builtin_cdc_timeline, parse_timeline_file
 from outbreakmon.vectorizer import vectorize
 
-from oracles import brute_bucket
+from oracles import brute_bucket, brute_daily, brute_phrase_match
 from synthdata import (
+    ANNOUNCEMENT_DATES,
     DECOY_TEMPLATES,
     RELEVANT_TEMPLATES,
     labeled_lines,
@@ -39,6 +36,9 @@ from synthdata import (
     stream_lines,
     table_replay_records,
 )
+
+# every file pipeline writes but the manifest, which hashes the inputs
+DATA_OUTPUTS = (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME)
 
 
 def write_lines(path, lines):
@@ -96,19 +96,31 @@ class TestFilter:
         assert main(["filter", "--input", str(bad), "--output", str(out), "--quiet"]) == EXIT_OK
 
     def test_custom_keyword_file(self, tmp_path):
-        stream = write_lines(
-            tmp_path / "s.jsonl",
-            [record_line("a", datetime(2015, 9, 5, tzinfo=timezone.utc), "pizza night"),
-             record_line("b", datetime(2015, 9, 5, tzinfo=timezone.utc), "salmonella news")],
-        )
-        keywords = tmp_path / "kw.txt"
-        keywords.write_text("# custom\npizza\n", encoding="utf-8")
+        # Phrases with separators, an underscore, a non-ASCII letter and
+        # digits: the one compiled pattern must keep exactly the texts the
+        # token-window oracle keeps, under this Python's Unicode tables.
+        phrases = ["AT&T", "Andrew & Williamson", "fat_boy", "Ça va", "x2 y3"]
+        keywords = write_lines(tmp_path / "kw.txt", ["# custom", *phrases])
+        spellings = [
+            "AT&T", "at&t!", "(At&T)", "AT & T", "xAT&T", "AT&T&", "AT&Tx", "AT&T_",
+            "Andrew & Williamson", "ANDREW  &\tWILLIAMSON", "andrew_&_williamson",
+            "Andrew-&-Williamson", "andrew&williamson", "Andrew & Williamsons",
+            "fat_boy", "FAT BOY", "fat-boy!", "fat\u00a0boy", "fatboy", "fat boys", "_fat__boy_",
+            "Ça va", "ÇA VA?", "ça-va", "ça\u2028va", "cava", "Ç a va", "Ça vas",
+            "x2 y3", "X2_Y3", "x2-y3.", "x2y3", "x² y³", "x2 y3z", "ｘ２ y3"]
+        instant = datetime(2015, 9, 4, 12, tzinfo=timezone.utc)
+        lines = {record_line(f"s{i}-{j}", instant, text): text
+                 for i, spelling in enumerate(spellings)
+                 for j, text in enumerate((spelling, f"recall: {spelling} today"))}
+        stream = write_lines(tmp_path / "s.jsonl", lines)
         out = tmp_path / "o"
         code = main(["filter", "--input", str(stream), "--keywords", str(keywords),
                      "--output", str(out), "--quiet"])
         assert code == EXIT_OK
-        kept = load_corpus((out / FILTERED_NAME).open(encoding="utf-8"))
-        assert [r.id for r in kept] == ["a"]
+        kept = [line for line, text in lines.items() if brute_phrase_match(phrases, text)]
+        assert 0 < len(kept) < len(lines)
+        assert (out / FILTERED_NAME).read_text(encoding="utf-8") == "".join(
+            line + "\n" for line in kept)
 
 
 class TestTrain:
@@ -396,6 +408,51 @@ class TestReport:
         assert report["excluded_after_cutoff"] == 1
         assert (report["daily_days"], report["daily_total"]) == (6, 3)
 
+    @pytest.mark.parametrize("stamps, cutoff, start, end, rejected", [
+        # the generated stream cut inside its data, with a daily window around the cut
+        (None, "2015-09-29", "2015-09-20", "2015-10-05", 0),
+        # calendar edges, each converted by the form this Python selects;
+        # strptime refuses a common-year Feb 29 and hour 24
+        (["2016-02-29T23:59:59Z", "2015-12-31T23:59:59Z", "2015-09-22T00:00:00Z",
+          "0001-01-01T00:00:00Z", "2015-02-29T12:00:00Z", "2015-09-21T24:00:00Z",
+          "9999-12-31T23:59:59Z"], None, "2015-09-20", "2016-03-01", 2),
+    ], ids=["cutoff", "calendar-edges"])
+    def test_tables_equal_the_brute_scans(self, tmp_path, stream_file, capsys, stamps, cutoff,
+                                          start, end, rejected):
+        stream = stream_file if stamps is None else write_lines(tmp_path / "edges.jsonl", [
+            json.dumps({"id": f"e{stamp}", "timestamp": stamp, "text": "salmonella cucumbers"},
+                       separators=(",", ":"))
+            for stamp in stamps])
+        out = tmp_path / "o"
+        argv = ["report", "--input", str(stream), "--daily-start", start, "--daily-end", end,
+                "--output", str(out), "--quiet"]
+        assert main(argv + (["--final-cutoff", cutoff] if cutoff else [])) == EXIT_OK
+        stdout, stderr = capsys.readouterr()
+
+        instants, warnings = [], []
+        for line_no, line in enumerate(stream.read_text(encoding="utf-8").splitlines(), 1):
+            raw = json.loads(line)["timestamp"]
+            try:
+                instants.append(datetime.strptime(raw, "%Y-%m-%dT%H:%M:%SZ")
+                                .replace(tzinfo=timezone.utc))
+            except ValueError:
+                warnings.append(f"WARNING rejected line {line_no}: timestamp {raw!r} is not in "
+                                "YYYY-MM-DDTHH:MM:SSZ form (expected e.g. 2015-09-04T12:00:00Z)\n")
+        kept = [t for t in instants if cutoff is None or t.date() <= date.fromisoformat(cutoff)]
+        assert len(warnings) == rejected and kept
+        if cutoff:  # a cut inside the data
+            assert len(kept) < len(instants)
+        starts = ["", *(day.isoformat() for day in ANNOUNCEMENT_DATES)]
+        periods = "period_start,period_end,tweet_count\n" + "".join(
+            f"{s},{e},{n}\n"
+            for s, e, n in zip(starts, starts[1:] + [""], brute_bucket(ANNOUNCEMENT_DATES, kept)))
+        days = "date,count\n" + "".join(
+            f"{day.isoformat()},{n}\n" for day, n in brute_daily(
+                kept, date.fromisoformat(start), date.fromisoformat(end)))
+        assert (stdout, stderr) == (periods, "".join(warnings))
+        assert (out / PERIOD_CSV_NAME).read_text() == periods
+        assert (out / DAILY_CSV_NAME).read_text() == days
+
 
 class TestPipeline:
     def test_end_to_end_artifacts_and_manifest(self, tmp_path, model_file, stream_file):
@@ -449,7 +506,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("failure, code", [
         ("model", EXIT_MODEL), ("timeline", EXIT_TIMELINE), ("keywords", EXIT_PARSE),
-        ("daily", EXIT_IO)])
+        ("daily", EXIT_IO), ("duplicate", EXIT_PARSE)])
     def test_failed_run_leaves_the_previous_outputs(self, tmp_path, model_file, stream_file,
                                                    failure, code):
         out = tmp_path / "out"
@@ -465,26 +522,44 @@ class TestPipeline:
                         "2015-09-04,announcement,,341,,\n2015-09-09,announcement,,300,,\n",
             "keywords": "# only comments\n",
             "daily": "",
+            "duplicate": "",
         }[failure], encoding="utf-8")
         extra = {
             "model": ["--model", str(broken)],
             "timeline": ["--timeline", str(broken)],
             "keywords": ["--keywords", str(broken)],
             "daily": ["--daily-start", "2015-10-01", "--daily-end", "2015-09-01"],
+            "duplicate": ["--strict"],
         }[failure]
-        other_stream = write_lines(tmp_path / "other.jsonl", stream_lines(100, seed=3))
-        assert main(["pipeline", "--input", str(other_stream), "--model", str(model_file),
-                     "--output", str(out), "--quiet", *extra]) == code
+        lines = stream_lines(100, seed=3)
+        if failure == "duplicate":
+            # the last line repeats an id: the abort comes after filter has
+            # begun to stream its output
+            lines.append(lines[0])
+        other_stream = write_lines(tmp_path / "other.jsonl", lines)
+        # into the directory holding the previous run, and into a new path
+        fresh = tmp_path / "fresh" / "out"
+        for target in (out, fresh):
+            assert main(["pipeline", "--input", str(other_stream), "--model", str(model_file),
+                         "--output", str(target), "--quiet", *extra]) == code
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert not fresh.parent.exists()
 
-    def test_rerun_is_byte_identical(self, tmp_path, model_file, stream_file):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        for out in (out_a, out_b):
-            assert main(["pipeline", "--input", str(stream_file), "--model",
-                         str(model_file), "--output", str(out), "--quiet"]) == EXIT_OK
-        for name in (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
-                     MANIFEST_NAME):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    @staticmethod
+    def run(capsys, out, *argv):
+        """pipeline's standard output and the bytes of each file it wrote into ``out``."""
+        assert main(["pipeline", *argv, "--output", str(out), "--quiet"]) == EXIT_OK
+        return capsys.readouterr().out, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_rerun_is_byte_identical(self, tmp_path, model_file, stream_file, capsys):
+        argv = ["--input", str(stream_file), "--model", str(model_file)]
+        # the same settings again, and then from a config file
+        config = write_lines(tmp_path / "run.conf",
+                             [f"input = {stream_file}", f"model = {model_file}"])
+        first = self.run(capsys, tmp_path / "a", *argv)
+        assert sorted(first[1]) == sorted(PIPELINE_OUTPUTS)
+        assert self.run(capsys, tmp_path / "b", *argv) == first
+        assert self.run(capsys, tmp_path / "c", "--config", str(config)) == first
 
     @staticmethod
     def manifest(tmp_path, out_name, model, stream):
@@ -512,20 +587,48 @@ class TestPipeline:
         assert first["inputs"] == second["inputs"]
 
     def test_keyword_and_timeline_files_are_hashed_and_rerun_identically(
-            self, tmp_path, model_file, stream_file):
-        keywords = write_lines(tmp_path / "keywords.txt", DEFAULT_PHRASES)
-        timeline = tmp_path / "timeline.csv"
-        timeline.write_text(BUILTIN_CDC_TIMELINE_CSV, encoding="utf-8")
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            assert main(["pipeline", "--input", str(stream_file), "--model", str(model_file),
-                         "--keywords", str(keywords), "--timeline", str(timeline),
-                         "--output", str(out), "--quiet"]) == EXIT_OK
-        manifest = (outs[0] / MANIFEST_NAME).read_bytes()
-        assert manifest == (outs[1] / MANIFEST_NAME).read_bytes()
-        inputs = json.loads(manifest)["inputs"]
-        assert inputs["keywords"] == hashlib.sha256(keywords.read_bytes()).hexdigest()
-        assert inputs["timeline"] == hashlib.sha256(timeline.read_bytes()).hexdigest()
+            self, tmp_path, model_file, stream_file, capsys):
+        # the built-in phrases and timeline, as --print-builtin writes them
+        files = []
+        for command in ("keywords", "timeline"):
+            assert main([command, "--print-builtin"]) == EXIT_OK
+            files.append(tmp_path / command)
+            files[-1].write_text(capsys.readouterr().out, encoding="utf-8")
+        argv = ["--input", str(stream_file), "--model", str(model_file)]
+        file_argv = [*argv, "--keywords", str(files[0]), "--timeline", str(files[1])]
+        first = self.run(capsys, tmp_path / "a", *file_argv)
+        assert first == self.run(capsys, tmp_path / "b", *file_argv)
+        # the built-in run's data; only the manifest names the two files
+        stdout, outputs = self.run(capsys, tmp_path / "builtin", *argv)
+        assert first[0] == stdout
+        assert [first[1][name] for name in DATA_OUTPUTS] \
+            == [outputs[name] for name in DATA_OUTPUTS]
+        inputs = json.loads(first[1][MANIFEST_NAME])["inputs"]
+        assert inputs["keywords"] == hashlib.sha256(files[0].read_bytes()).hexdigest()
+        assert inputs["timeline"] == hashlib.sha256(files[1].read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("restyle, compared", [
+        # json.dumps defaults (", " and ": " separators, ASCII escapes) take
+        # the full JSON parser instead of the compact-line path
+        ("json-defaults", DATA_OUTPUTS),
+        # a token outside the vocabulary that matches no phrase: a text's
+        # vector depends only on its vocabulary terms with their counts and
+        # on its highest token count
+        ("zq9x", (PERIOD_CSV_NAME, DAILY_CSV_NAME)),
+    ], ids=["json-defaults", "zq9x"])
+    def test_restyled_stream_gives_the_same_tables(self, tmp_path, model_file, stream_file,
+                                                   capsys, restyle, compared):
+        objs = [json.loads(line) for line in stream_file.read_text(encoding="utf-8").splitlines()]
+        restyled = write_lines(tmp_path / "restyled.jsonl", [
+            json.dumps(obj) if restyle == "json-defaults" else
+            json.dumps({**obj, "text": obj["text"] + " zq9x"}, ensure_ascii=False,
+                       separators=(",", ":"))
+            for obj in objs])
+        model = ["--model", str(model_file)]
+        stdout, outputs = self.run(capsys, tmp_path / "a", "--input", str(stream_file), *model)
+        other_stdout, other = self.run(capsys, tmp_path / "b", "--input", str(restyled), *model)
+        assert other_stdout == stdout
+        assert [other[name] for name in compared] == [outputs[name] for name in compared]
 
     def test_never_mutates_input_files(self, tmp_path, model_file, stream_file):
         stream_before = stream_file.read_bytes()
@@ -561,10 +664,14 @@ class TestConfigFile:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        # a value its key refuses names its line too
         config = tmp_path / "bad.conf"
-        config.write_bytes(b"# settings\nfinal_cutoff = 2016-03-31 \xff\n")
-        assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
-        assert f"bad arguments: {config}:2: invalid UTF-8" in capsys.readouterr().err
+        for text, fault in ((b"final_cutoff = 2016-03-31 \xff", "invalid UTF-8"),
+                            (b"strictness = strickt", "bad value for strictness: "
+                                                      "must be strict or lenient, got 'strickt'")):
+            config.write_bytes(b"# settings\n" + text + b"\n")
+            assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
+            assert f"bad arguments: {config}:2: {fault}\n" in capsys.readouterr().err
 
     def test_training_keys(self, tmp_path, labeled_file):
         model_path = tmp_path / "m.json"

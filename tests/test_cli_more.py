@@ -91,8 +91,8 @@ def test_timeline_file_with_undecodable_byte_exits_6_with_its_row(tmp_path, caps
 
 
 def test_scoring_commands_never_import_numpy(tmp_path):
-    # numpy is a test dependency only: train, classify and pipeline must run
-    # in a process where importing it fails.
+    # numpy is a test dependency only: every command must run in a process
+    # where importing it fails.
     labeled = tmp_path / "labeled.jsonl"
     lines = labeled_lines(30, 30)
     labeled.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -105,10 +105,11 @@ def test_scoring_commands_never_import_numpy(tmp_path):
         "import outbreakmon.cli as cli\n"
         "labeled, model, stream, out = sys.argv[1:]\n"
         "codes = [cli.main(['train', '--labeled', labeled, '--model', model, '--quiet'])]\n"
-        "codes += [cli.main([command, '--input', stream, '--model', model,\n"
+        "codes += [cli.main([command, '--input', stream, *extra,\n"
         "                    '--output', out + '/' + command, '--quiet'])\n"
-        "          for command in ('classify', 'pipeline')]\n"
-        "assert codes == [0, 0, 0], codes\n"
+        "          for command, extra in (('filter', []), ('classify', ['--model', model]),\n"
+        "                                 ('report', []), ('pipeline', ['--model', model]))]\n"
+        "assert codes == [0] * 5, codes\n"
     )
     src = str(Path(outbreakmon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
