@@ -335,8 +335,10 @@ def run_train(cfg: PipelineConfig) -> None:
     with _open_records(cfg.labeled) as fh:
         examples = load_labeled_set(fh)
     negative, positive = class_counts(examples)
-    model = train_from_labeled(examples, TrainingConfig(
-        C=cfg.c, tolerance=cfg.tolerance, max_epochs=cfg.max_epochs, seed=cfg.seed))
+    train_config = TrainingConfig(
+        C=cfg.c, tolerance=cfg.tolerance, max_epochs=cfg.max_epochs, seed=cfg.seed
+    )
+    model = train_from_labeled(examples, train_config)
     save_model(model, cfg.model)
     accuracy = training_accuracy(model, examples)
     meta = model.training_meta
@@ -426,8 +428,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "inputs": input_hashes(cfg),
         "stages": stages,
     }
-    write_text_atomic(cfg.output / MANIFEST_NAME,
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(
+        cfg.output / MANIFEST_NAME,
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    )
     _info(f"pipeline complete; manifest -> {cfg.output / MANIFEST_NAME}")
     return manifest
 

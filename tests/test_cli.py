@@ -98,7 +98,8 @@ class TestFilter:
     def test_custom_keyword_file(self, tmp_path):
         # Phrases with separators, an underscore, a non-ASCII letter and
         # digits: the one compiled pattern must keep exactly the texts the
-        # token-window oracle keeps, under this Python's Unicode tables.
+        # token-window oracle keeps, under this Python's Unicode tables. The
+        # file replaces the built-in phrases, so "salmonella news" is dropped.
         phrases = ["AT&T", "Andrew & Williamson", "fat_boy", "Ça va", "x2 y3"]
         keywords = write_lines(tmp_path / "kw.txt", ["# custom", *phrases])
         spellings = [
@@ -107,7 +108,7 @@ class TestFilter:
             "Andrew-&-Williamson", "andrew&williamson", "Andrew & Williamsons",
             "fat_boy", "FAT BOY", "fat-boy!", "fat\u00a0boy", "fatboy", "fat boys", "_fat__boy_",
             "Ça va", "ÇA VA?", "ça-va", "ça\u2028va", "cava", "Ç a va", "Ça vas",
-            "x2 y3", "X2_Y3", "x2-y3.", "x2y3", "x² y³", "x2 y3z", "ｘ２ y3"]
+            "x2 y3", "X2_Y3", "x2-y3.", "x2y3", "x² y³", "x2 y3z", "ｘ２ y3", "salmonella news"]
         instant = datetime(2015, 9, 4, 12, tzinfo=timezone.utc)
         lines = {record_line(f"s{i}-{j}", instant, text): text
                  for i, spelling in enumerate(spellings)
@@ -508,10 +509,11 @@ class TestPipeline:
         ("model", EXIT_MODEL), ("timeline", EXIT_TIMELINE), ("keywords", EXIT_PARSE),
         ("daily", EXIT_IO), ("duplicate", EXIT_PARSE)])
     def test_failed_run_leaves_the_previous_outputs(self, tmp_path, model_file, stream_file,
-                                                   failure, code):
+                                                   capsys, failure, code):
         out = tmp_path / "out"
         assert main(["pipeline", "--input", str(stream_file), "--model", str(model_file),
                      "--output", str(out), "--quiet"]) == EXIT_OK
+        capsys.readouterr()
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert len(before) == 5
 
@@ -544,22 +546,26 @@ class TestPipeline:
                          "--output", str(target), "--quiet", *extra]) == code
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         assert not fresh.parent.exists()
+        if failure == "duplicate":
+            assert capsys.readouterr().err.count("line 101: duplicate id 's0'") == 2
 
     @staticmethod
-    def run(capsys, out, *argv):
-        """pipeline's standard output and the bytes of each file it wrote into ``out``."""
-        assert main(["pipeline", *argv, "--output", str(out), "--quiet"]) == EXIT_OK
+    def run(capsys, out, *argv, flag=True):
+        """pipeline's standard output and the bytes of each file it wrote into ``out``,
+        which ``--output`` names unless ``flag`` is false (a config file names it)."""
+        output = ["--output", str(out)] if flag else []
+        assert main(["pipeline", *argv, *output, "--quiet"]) == EXIT_OK
         return capsys.readouterr().out, {path.name: path.read_bytes() for path in out.iterdir()}
 
     def test_rerun_is_byte_identical(self, tmp_path, model_file, stream_file, capsys):
         argv = ["--input", str(stream_file), "--model", str(model_file)]
         # the same settings again, and then from a config file
-        config = write_lines(tmp_path / "run.conf",
-                             [f"input = {stream_file}", f"model = {model_file}"])
+        config = write_lines(tmp_path / "run.conf", [
+            f"input = {stream_file}", f"model = {model_file}", f"output = {tmp_path / 'c'}"])
         first = self.run(capsys, tmp_path / "a", *argv)
         assert sorted(first[1]) == sorted(PIPELINE_OUTPUTS)
         assert self.run(capsys, tmp_path / "b", *argv) == first
-        assert self.run(capsys, tmp_path / "c", "--config", str(config)) == first
+        assert self.run(capsys, tmp_path / "c", "--config", str(config), flag=False) == first
 
     @staticmethod
     def manifest(tmp_path, out_name, model, stream):
