@@ -5,6 +5,11 @@ Per-tweet term frequency is the double-normalized form
 and document frequency idf is ``ln(N / df)`` over the fitted training set.
 Only terms present in a tweet produce entries, so vectors stay sparse, and
 zero products (terms appearing in every training document) are dropped.
+
+``vectorize`` looks terms up in ``Vocabulary.index_idf``, which holds only
+the terms that can produce an entry. In a tweet where no token repeats,
+every ``f`` equals ``max_f``, so tf is exactly 1.0 and each entry is the
+term's ``(index, idf)`` pair as stored: such a tweet needs no counting.
 """
 from __future__ import annotations
 
@@ -26,16 +31,25 @@ TOKEN_RULES_V1 = "lower/alnum-split/minlen2/dropnum"
 _TOKEN_RE = re.compile(r"\w{2,}")
 
 
+def _word_runs(text: str) -> list[str]:
+    """The lowercased text's alphanumeric runs of two or more characters,
+    split on everything else (incl. ``&`` and ``_``); pure numbers kept."""
+    return _TOKEN_RE.findall(text.lower().replace("_", " "))
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumerics (incl. ``&`` and ``_``), and
     drop single-character tokens and pure numbers."""
-    return list(filterfalse(str.isdigit, _TOKEN_RE.findall(text.lower().replace("_", " "))))
+    return list(filterfalse(str.isdigit, _word_runs(text)))
 
 
 class Vocabulary(Value):
     """Term index, per-term document frequencies, and training-corpus size."""
 
-    # index_idf: term -> (dense index, idf), built once for vectorize()
+    # index_idf: term -> (dense index, idf), built once for vectorize(). It
+    # holds only the terms that can produce an entry, so vectorize() keeps
+    # every hit: a pure number (tokenize drops it) and a term in every
+    # training document (idf 0, so a zero product) are left out.
     __slots__ = ("terms", "doc_frequency", "corpus_size", "index_idf")
     _fields = ("terms", "doc_frequency", "corpus_size")
 
@@ -43,10 +57,10 @@ class Vocabulary(Value):
         """``terms`` maps each term to its dense index, in first-seen order;
         ``doc_frequency`` to the number of training docs containing it."""
         self._set_slots(terms, doc_frequency, corpus_size, {})
-        self.index_idf.update({
-            term: (index, inverse_document_frequency(self, term))
-            for term, index in terms.items()
-        })
+        for term, index in terms.items():
+            idf = inverse_document_frequency(self, term)
+            if idf != 0.0 and not term.isdigit():
+                self.index_idf[term] = (index, idf)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -152,21 +166,20 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
     within-tweet frequency maximum); entries whose product is exactly zero
     are dropped.
     """
-    counts: dict[str, int] = {}
-    for token in tokenize(text):
-        counts[token] = counts.get(token, 0) + 1
-    if not counts:
-        return SparseVector._unchecked(())
+    runs = _word_runs(text)
     index_idf = model.vocabulary.index_idf
-    max_f = max(counts.values())
+    if len(set(runs)) == len(runs):
+        # No token repeats, so tf = 0.5 + 0.5 * 1 / 1 = 1.0 for every term.
+        return SparseVector._unchecked(tuple(sorted(filter(None, map(index_idf.get, runs)))))
+    counts: dict[str, int] = {}
+    for token in filterfalse(str.isdigit, runs):
+        counts[token] = counts.get(token, 0) + 1
+    max_f = max(counts.values(), default=1)  # no counts: only numbers repeat
     entries = []
     for token, occurrences in counts.items():
         known = index_idf.get(token)
-        if known is None:
-            continue
-        index, idf = known
-        value = (0.5 + 0.5 * occurrences / max_f) * idf
-        if value != 0.0:
-            entries.append((index, value))
+        if known is not None:
+            index, idf = known
+            entries.append((index, (0.5 + 0.5 * occurrences / max_f) * idf))
     entries.sort()
     return SparseVector._unchecked(tuple(entries))

@@ -131,16 +131,18 @@ def svm_grid_solve(X, y, C, span=6.0, levels=48, points=13):
 # tf-idf from the defining formulas
 # ---------------------------------------------------------------------------
 
-def tfidf_by_hand(token_docs):
+def tfidf_by_hand(token_docs, queries=None):
     """Per-document {term: tf*idf} evaluated directly from the formulas:
     tf = 1/2 + 1/2 * f/max_f within the document, idf = ln(N / df) over the
-    collection; zero products omitted."""
+    collection; zero products omitted. With ``queries``, the same for each
+    query document instead, whose terms outside the collection count toward
+    max_f only."""
     n_docs = len(token_docs)
     df = Counter()
     for doc in token_docs:
         df.update(set(doc))
     out = []
-    for doc in token_docs:
+    for doc in token_docs if queries is None else queries:
         counts = Counter(doc)
         if not counts:
             out.append({})
@@ -148,6 +150,8 @@ def tfidf_by_hand(token_docs):
         max_f = max(counts.values())
         values = {}
         for term, f in counts.items():
+            if term not in df:
+                continue
             tf = 0.5 + 0.5 * f / max_f
             idf = math.log(n_docs / df[term])
             if tf * idf != 0.0:

@@ -20,6 +20,7 @@ from outbreakmon.cli import (
     EXIT_TIMELINE,
     FILTERED_NAME,
     PERIOD_CSV_NAME,
+    PIPELINE_OUTPUTS,
     RELEVANT_NAME,
     PipelineConfig,
     _build_parser,
@@ -32,6 +33,13 @@ from outbreakmon.corpus import load_labeled_set
 from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
 
 from synthdata import RELEVANT_TEMPLATES, labeled_lines, record_line, stream_lines
+
+
+def _child_env(**extra):
+    """The environment for a child Python that imports this checkout's package."""
+    src = str(Path(outbreakmon.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def _one_record_file(tmp_path):
@@ -111,12 +119,9 @@ def test_scoring_commands_never_import_numpy(tmp_path):
         "                                 ('report', []), ('pipeline', ['--model', model]))]\n"
         "assert codes == [0] * 5, codes\n"
     )
-    src = str(Path(outbreakmon.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run([sys.executable, "-c", script, str(labeled), str(model),
                              str(stream), str(tmp_path / "o")],
-                            env=env, capture_output=True, text=True, timeout=120)
+                            env=_child_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "o" / "pipeline" / "manifest.json").is_file()
     # the file holds exactly the model the in-process trainer produces
@@ -125,6 +130,34 @@ def test_scoring_commands_never_import_numpy(tmp_path):
     assert (loaded.weights, loaded.bias) == (trained.weights, trained.bias)
     assert loaded.training_meta == trained.training_meta
     assert all(type(w) is float for w in loaded.weights)
+
+
+def test_runs_under_two_hash_seeds_write_the_same_bytes(tmp_path):
+    # The iteration order of a set or dict of strings depends on the hash
+    # seed, so a rerun in a new process is byte-identical only if no output
+    # depends on that order.
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text("".join(line + "\n" for line in labeled_lines(30, 30)), encoding="utf-8")
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(line + "\n" for line in stream_lines(300)), encoding="utf-8")
+    model = tmp_path / "model.json"
+    script = "import sys\nfrom outbreakmon.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    runs = []
+    for seed in ("1", "2"):
+        env = _child_env(PYTHONHASHSEED=seed)
+        out = tmp_path / f"seed{seed}"
+        stdout = []
+        for argv in (["train", "--labeled", str(labeled), "--model", str(model)],
+                     ["pipeline", "--input", str(stream), "--model", str(model),
+                      "--output", str(out)]):
+            result = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                    capture_output=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            stdout.append(result.stdout)
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        runs.append((model.read_bytes(), stdout, files))
+    assert sorted(runs[0][2]) == sorted(PIPELINE_OUTPUTS)
+    assert runs[0] == runs[1]
 
 
 def test_model_written_into_new_directory(tmp_path):
@@ -479,9 +512,7 @@ def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
                          ids=["timeline", "keywords", "report", "help", "pipeline-help",
                               "version"])
 def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, command, unbuffered, sink):
-    src = str(Path(outbreakmon.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from outbreakmon import vectorizer
 from outbreakmon.errors import TrainingDataError
-from outbreakmon.svm import SvmModel, TrainingMeta, save_model
+from outbreakmon.svm import SvmModel, TrainingMeta, load_model, save_model
 from outbreakmon.vectorizer import (
     SparseVector,
     TOKEN_RULES_V1,
@@ -246,22 +246,23 @@ _OUT_OF_VOCABULARY = ["@cdcgov", "#outbreak2015", "http://t.co/x1", "zq9x", "123
 class TestOutOfVocabularyTokens:
     model = fit_tfidf(_MIXED_TRAINING)
 
+    # Texts in which no token repeats and texts in which one does take
+    # different paths through vectorize(); the examples force each of them.
     @settings(max_examples=500, deadline=None)
     @given(pieces=st.lists(st.sampled_from(_IN_VOCABULARY + _OUT_OF_VOCABULARY), max_size=12),
            separator=st.sampled_from([" ", "_", "&", "-", "  "]))
+    @example(pieces=["every", "salmonella", "2015", "fat_boy", "h1n1", "zq9x"], separator=" ")
     @example(pieces=["salmonella", "salmonella", "zq9x", "zq9x", "zq9x"], separator=" ")
+    @example(pieces=["every", "recall", "every"], separator="&")
+    @example(pieces=["2015", "outbreak", "2015"], separator="_")
+    @example(pieces=["2015", "2015"], separator=" ")
     def test_bit_equal_to_a_by_hand_formula_on_mixed_texts(self, pieces, separator):
         text = separator.join(pieces)
-        vocab = self.model.vocabulary
-        counts = Counter(tokenize(text))
-        highest = max(counts.values(), default=0)
-        by_hand = []
-        for term, n in counts.items():
-            if term in vocab.terms:
-                value = (0.5 + 0.5 * n / highest) * inverse_document_frequency(vocab, term)
-                if value != 0.0:
-                    by_hand.append((vocab.terms[term], value))
-        assert vectorize(self.model, text).entries == tuple(sorted(by_hand))
+        training = [findall_tokenize(doc) for doc in _MIXED_TRAINING]
+        [want] = tfidf_by_hand(training, [findall_tokenize(text)])
+        index_of = self.model.vocabulary.terms
+        expected = tuple(sorted((index_of[term], value) for term, value in want.items()))
+        assert vectorize(self.model, text).entries == expected
 
     # Each piece is kept in the text, or added to it only in the second one;
     # an added piece is always outside the vocabulary.
@@ -312,6 +313,35 @@ class TestSparseVector:
         assert math.fsum(v * v for v in values) == 1.0000000000000002
         monkeypatch.setattr(vectorizer, "sum", math.fsum, raising=False)
         assert SparseVector(entries=tuple(enumerate(values))).squared_norm() == 1.0
+
+
+# Vocabulary terms that can make no entry: a pure number, capitals and a
+# single character, which tokenize() never yields, and "every", which is in
+# all four training documents (idf 0).
+_ODD_MODEL = """{"format": "outbreakmon-svm-model", "version": 1,
+ "token_rules": "lower/alnum-split/minlen2/dropnum",
+ "vocabulary": {"corpus_size": 4, "terms": [["2015", 1], ["ABC", 2], ["salmonella", 2],
+                                            ["x", 1], ["every", 4]]},
+ "weights": [0.5, -0.25, 1.5, 2.0, -3.0], "bias": 0.125,
+ "training_meta": {"C": 1.0, "epochs_run": 3, "final_objective": 0.5}}
+"""
+
+
+@pytest.mark.parametrize("text, entries", [
+    ("2015 abc ABC_x X every salmonella", ((2, 0.75 * LN_2),)),  # "abc" repeats
+    ("Salmonella 2015 ABC x every", ((2, LN_2),)),  # no token repeats
+    ("2015 2015 abc every", ()),
+])
+def test_terms_that_can_make_no_entry_load_and_make_none(tmp_path, text, entries):
+    path = tmp_path / "model.json"
+    path.write_text(_ODD_MODEL, encoding="utf-8")
+    model = load_model(path)
+    assert model.vectorizer.vocabulary == Vocabulary(
+        terms={"2015": 0, "ABC": 1, "salmonella": 2, "x": 3, "every": 4},
+        doc_frequency={"2015": 1, "ABC": 2, "salmonella": 2, "x": 1, "every": 4},
+        corpus_size=4)
+    assert (model.weights, model.bias) == ((0.5, -0.25, 1.5, 2.0, -3.0), 0.125)
+    assert vectorize(model.vectorizer, text).entries == entries
 
 
 def test_token_rules_recorded_in_model(tmp_path):
