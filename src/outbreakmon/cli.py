@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
-    STRICTNESS_MODES,
     RecordStream,
     _is_unicode,
     class_counts,
@@ -125,7 +124,7 @@ def parse_path(value: str) -> Path:
 
 
 def parse_strictness(value: str) -> str:
-    if value not in STRICTNESS_MODES:
+    if value not in ("strict", "lenient"):
         raise ValueError(f"must be strict or lenient, got {value!r}")
     return value
 
@@ -181,6 +180,10 @@ PIPELINE_INPUTS = ("input", "keywords", "model", "timeline")
 PIPELINE_OUTPUTS = (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
                     MANIFEST_NAME)
 HASHED_KEYS = COMMANDS["pipeline"][1]
+# subcommand -> the files it writes in the output directory (train writes
+# only its model file)
+COMMAND_OUTPUTS = {"filter": (FILTERED_NAME,), "train": (), "classify": (RELEVANT_NAME,),
+                   "report": (PERIOD_CSV_NAME, DAILY_CSV_NAME), "pipeline": PIPELINE_OUTPUTS}
 
 
 def parse_config_file(path: Path) -> dict[str, object]:
@@ -303,7 +306,7 @@ def _write_kept(cfg: PipelineConfig, name: str, inputs, keep) -> tuple[RecordStr
     _refuse_to_replace(inputs, [out_path])
     kept = 0
     with _open_input(cfg.input) as fh, open_text_atomic(out_path) as out:
-        records = RecordStream(fh, cfg.strictness)
+        records = RecordStream(fh, strict=cfg.strictness == "strict")
         for record in records:
             if keep(record.text):
                 out.write(record.output_line())
@@ -374,7 +377,7 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
                        [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
     # Every table depends on a record's UTC day alone, so one histogram is kept.
     with _open_input(cfg.input) as fh:
-        records = RecordStream(fh, cfg.strictness)
+        records = RecordStream(fh, strict=cfg.strictness == "strict")
         days = day_counts(records)
     if cfg.final_cutoff is not None:
         days = {day: count for day, count in days.items() if day <= cfg.final_cutoff}
@@ -518,6 +521,11 @@ def main(argv: list[str] | None = None) -> int:
             _write_stdout(BUILTINS[args.command][1])
             return EXIT_OK
         cfg = build_config(args)
+        # the config file is an input of every command
+        outputs = [cfg.output / name for name in COMMAND_OUTPUTS[args.command]]
+        if args.command == "train" and cfg.model is not None:
+            outputs.append(cfg.model)
+        _refuse_to_replace([args.config], outputs)
         if args.command == "filter":
             run_filter(cfg, _load_keyword_set(cfg.keywords))
         elif args.command == "train":

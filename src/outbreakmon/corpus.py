@@ -37,7 +37,6 @@ _CANONICAL_LINE = re.compile(
     r'"text":"([^"\\\x00-\x1f]*)"\}\n?')
 KNOWN_FIELDS = frozenset({"id", "timestamp", "text", "label"})
 VALID_LABELS = (-1, 1)
-STRICTNESS_MODES = ("strict", "lenient")
 
 
 class TweetRecord(Value):
@@ -243,19 +242,17 @@ class RecordStream:
     """The records of an iterable of input lines, in input order, each line
     parsed once (``parse_tweet_line``) as the stream is iterated.
 
-    Strict mode raises on the first bad line. Lenient mode skips bad lines,
-    counts them in ``rejected``, and writes a ``WARNING rejected line N:
-    reason`` diagnostic for each. A duplicate id raises in both modes
-    because duplicates would double-count in every downstream report.
-    ``accepted`` counts the records yielded so far.
+    With ``strict`` (strict mode), the first bad line raises, and a line
+    with an unknown field is bad, as for ``parse_tweet_line``. Without it
+    (lenient mode), bad lines are skipped, counted in ``rejected``, and each
+    writes a ``WARNING rejected line N: reason`` diagnostic. A duplicate id
+    raises in both modes because duplicates would double-count in every
+    downstream report. ``accepted`` counts the records yielded so far.
     """
 
-    def __init__(self, lines: Iterable[str], strictness: str = "lenient"):
-        if strictness not in STRICTNESS_MODES:
-            raise ValueError(
-                f"strictness must be one of {STRICTNESS_MODES}, got {strictness!r}")
+    def __init__(self, lines: Iterable[str], *, strict: bool = False):
         self._lines = lines
-        self._strict = strictness == "strict"
+        self._strict = strict
         self._seen_ids: set[str] = set()
         self.rejected = 0
 
@@ -280,9 +277,10 @@ class RecordStream:
             yield record
 
 
-def load_corpus(lines: Iterable[str], strictness: str = "lenient") -> Corpus:
-    """All of a ``RecordStream``'s records, with its count of rejected lines."""
-    stream = RecordStream(lines, strictness)
+def load_corpus(lines: Iterable[str], *, strict: bool = False) -> Corpus:
+    """All of a ``RecordStream``'s records, with its count of rejected lines;
+    ``strict`` as for ``RecordStream``."""
+    stream = RecordStream(lines, strict=strict)
     return Corpus(records=tuple(stream), rejected_count=stream.rejected)
 
 

@@ -7,6 +7,9 @@ last boundary falls in the final (open-ended) period. So a tweet's period,
 daily row and final-cutoff test depend only on its UTC date, and the report
 reads every table off one per-day histogram (``day_counts``). Recall and
 onset events ride along as annotations and never bound a period.
+
+An ``EventTimeline`` is valid by construction (``validate_timeline``), so its
+boundaries strictly increase and no function that takes one checks it again.
 """
 from __future__ import annotations
 
@@ -50,14 +53,19 @@ class EventRecord(Value):
 
 
 class EventTimeline(Value):
-    """Date-ordered events. parse_timeline_file returns only timelines that
-    pass validate_timeline; one constructed directly is unchecked until
-    validate_timeline runs on it."""
+    """Date-ordered events that pass validate_timeline: construction raises
+    TimelineError naming every violation, so each timeline is valid."""
 
-    __slots__ = _fields = ("events",)
+    # boundaries: the announcement dates, strictly increasing, which bound
+    # the periods of period_counts
+    __slots__ = ("events", "boundaries")
+    _fields = ("events",)
 
     def __init__(self, events: tuple[EventRecord, ...]):
-        self._set_slots(events)
+        self._set_slots(events, tuple(e.date for e in events if e.kind in BOUNDARY_KINDS))
+        violations = validate_timeline(self)
+        if violations:
+            raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
 
     def announcements(self) -> tuple[EventRecord, ...]:
         return tuple(e for e in self.events if e.kind in BOUNDARY_KINDS)
@@ -112,16 +120,6 @@ def builtin_cdc_timeline() -> EventTimeline:
     return parse_timeline_file(BUILTIN_CDC_TIMELINE_CSV.splitlines())
 
 
-def _boundaries(timeline: EventTimeline) -> list[date]:
-    bounds = [e.date for e in timeline.announcements()]
-    if not bounds:
-        raise TimelineError("timeline has no announcement events")
-    # bisect needs sorted boundaries; an unvalidated timeline must fail loudly
-    if any(b >= c for b, c in zip(bounds, bounds[1:])):
-        raise TimelineError("announcement dates must be strictly increasing")
-    return bounds
-
-
 def day_counts(tweets: Iterable[TweetRecord]) -> dict[date, int]:
     """Tweets per calendar day of their timestamp, which ``parse_timestamp``
     always returns in UTC."""
@@ -135,7 +133,7 @@ def day_counts(tweets: Iterable[TweetRecord]) -> dict[date, int]:
 def period_counts(timeline: EventTimeline, days: dict[date, int]) -> PeriodReport:
     """Count a day histogram's tweets per period, pre-period first; every day
     lands in exactly one row, so the rows sum to the histogram's total."""
-    bounds = _boundaries(timeline)
+    bounds = timeline.boundaries
     counts = [0] * (len(bounds) + 1)
     for day, count in days.items():
         counts[bisect_right(bounds, day)] += count
@@ -152,24 +150,23 @@ def validate_timeline(timeline: EventTimeline) -> list[str]:
     """Check ordering, cumulative monotonicity, and new/cumulative arithmetic.
 
     Returns all violations found (empty list means the timeline is valid).
+    ``EventTimeline`` runs it on itself as it is built.
     """
     violations: list[str] = []
     events = timeline.events
     if not events:
         return ["timeline has no events"]
-    if not timeline.announcements():
+    bounds = timeline.boundaries
+    if not bounds:
         violations.append("timeline has no announcement events")
 
     for prev, cur in zip(events, events[1:]):
         if cur.date < prev.date:
             violations.append(f"events out of order: {cur.date} after {prev.date}")
 
-    ann = timeline.announcements()
-    for prev, cur in zip(ann, ann[1:]):
-        if cur.date <= prev.date:
-            violations.append(
-                f"announcement dates must strictly increase: {prev.date} then {cur.date}"
-            )
+    for prev, cur in zip(bounds, bounds[1:]):
+        if cur <= prev:
+            violations.append(f"announcement dates must strictly increase: {prev} then {cur}")
 
     prev_cum: int | None = None
     prev_date: date | None = None
@@ -249,11 +246,7 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
         events.append(event)
     if not events:
         raise TimelineError("timeline file has no events")
-    timeline = EventTimeline(events=tuple(events))
-    violations = validate_timeline(timeline)
-    if violations:
-        raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
-    return timeline
+    return EventTimeline(events=tuple(events))
 
 
 def _unicode_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

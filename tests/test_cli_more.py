@@ -1,6 +1,7 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
 import argparse
 import os
+import re
 import subprocess
 import sys
 from datetime import date, datetime, timezone
@@ -19,6 +20,7 @@ from outbreakmon.cli import (
     EXIT_PARSE,
     EXIT_TIMELINE,
     FILTERED_NAME,
+    MANIFEST_NAME,
     PERIOD_CSV_NAME,
     PIPELINE_OUTPUTS,
     RELEVANT_NAME,
@@ -388,6 +390,32 @@ def test_output_that_is_an_input_file_exits_2_before_any_write(tmp_path, monkeyp
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+# command -> (the output o/<name> that --config names, its settings, more arguments)
+CONFIG_REPLACING_RUNS = {
+    "filter": (FILTERED_NAME, "input = labeled.jsonl", []),
+    "train": ("m.conf", "labeled = labeled.jsonl", ["--model", "o/m.conf"]),
+    "classify": (RELEVANT_NAME, "input = labeled.jsonl\nmodel = model.json", []),
+    "report": (DAILY_CSV_NAME, "input = labeled.jsonl", []),
+    "pipeline": (MANIFEST_NAME, "input = labeled.jsonl\nmodel = model.json", []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_REPLACING_RUNS))
+def test_output_that_is_the_config_file_exits_2_before_any_write(tmp_path, monkeypatch,
+                                                                 capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _train(tmp_path)
+    name, settings, extra = CONFIG_REPLACING_RUNS[command]
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / name).write_text(settings + "\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main([command, "--config", f"o/{name}", *extra, "--output", "o"]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"ERROR bad arguments: output o/{name} would replace input file o/{name}\n")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_record_on_the_last_representable_day_is_reported(tmp_path):
     stream = tmp_path / "s.jsonl"
     stream.write_text(record_line("a", datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
@@ -486,6 +514,22 @@ def test_each_subcommand_takes_exactly_its_pinned_options():
 def test_every_option_has_help(command):
     parser = _subparsers()[command]
     assert [action.option_strings for action in parser._actions if not action.help] == []
+
+
+def _readme_section(title):
+    """The text of the README's ``### title`` section, up to the next heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n### {title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_lists_exactly_the_exit_codes_and_config_keys():
+    codes = re.findall(r"^\| (\d+) +\|", _readme_section("Exit codes"), flags=re.M)
+    assert sorted(map(int, codes)) == sorted(
+        value for name, value in vars(outbreakmon.cli).items() if name.startswith("EXIT_"))
+    # the key list runs from "Keys:" to the end of its sentence; a parenthesis
+    # after a key names that key's values
+    keys = _readme_section("Config file").split("Keys:", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys)) == list(CONFIG_KEYS)
 
 
 def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):

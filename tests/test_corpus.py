@@ -321,26 +321,26 @@ def test_invalid_json_reason_names_the_column(line, reason):
 class TestLoadCorpus:
     def test_all_valid_lenient(self):
         lines = [make_line(record_id=f"t{i}") for i in range(3)]
-        corpus = load_corpus(lines, "lenient")
+        corpus = load_corpus(lines)
         assert len(corpus) == 3
         assert corpus.rejected_count == 0
 
     def test_lenient_skips_and_counts(self):
         lines = [make_line(record_id=f"t{i}") for i in range(3)] + ["{broken"]
-        corpus = load_corpus(lines, "lenient")
+        corpus = load_corpus(lines)
         assert len(corpus) == 3
         assert corpus.rejected_count == 1
 
     def test_strict_aborts_at_line(self):
         lines = [make_line(record_id="t0"), "{broken", make_line(record_id="t2")]
         with pytest.raises(ParseError, match="line 2"):
-            load_corpus(lines, "strict")
+            load_corpus(lines, strict=True)
 
     def test_duplicate_id_fails_both_modes(self):
         lines = [make_line(record_id="dup"), make_line(record_id="dup")]
-        for mode in ("strict", "lenient"):
+        for strict in (True, False):
             with pytest.raises(ParseError, match="duplicate id"):
-                load_corpus(lines, mode)
+                load_corpus(lines, strict=strict)
 
     def test_order_preserved(self):
         lines = [make_line(record_id=f"t{i}") for i in range(10)]
@@ -348,14 +348,16 @@ class TestLoadCorpus:
         assert [r.id for r in corpus] == [f"t{i}" for i in range(10)]
 
     def test_bad_strictness_value(self):
-        with pytest.raises(ValueError):
+        # strict is a keyword-only bool, so a mode word in its place, which
+        # would be truthy, is refused rather than read as strict
+        with pytest.raises(TypeError):
             load_corpus([], "chaotic")
 
     def test_conservation_records_plus_rejected(self):
         lines = [make_line(record_id=f"t{i}") for i in range(5)]
         lines[1] = "oops"
         lines[4] = '{"id":"x","timestamp":"bad","text":"y"}'
-        corpus = load_corpus(lines, "lenient")
+        corpus = load_corpus(lines)
         assert len(corpus) + corpus.rejected_count == len(lines)
 
     def test_deterministic(self):
@@ -368,11 +370,11 @@ class TestLoadCorpus:
     ], ids=["undecodable-byte", "escaped-lone-surrogate"])
     def test_invalid_unicode_is_one_rejected_line(self, bad):
         lines = [make_line(record_id="t0"), bad, make_line(record_id="t2")]
-        corpus = load_corpus(lines, "lenient")
+        corpus = load_corpus(lines)
         assert [r.id for r in corpus] == ["t0", "t2"]
         assert corpus.rejected_count == 1
         with pytest.raises(ParseError, match="line 2"):
-            load_corpus(lines, "strict")
+            load_corpus(lines, strict=True)
 
 
 class TestLoadLabeledSet:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outbreakmon.cli import EXIT_OK, main
+from outbreakmon.cli import EXIT_OK, EXIT_TIMELINE, main
 from outbreakmon.corpus import TweetRecord
 from outbreakmon.errors import TimelineError
 from outbreakmon.timeline import (
@@ -48,6 +48,16 @@ def period_of(timeline, instant):
     return counts.index(1)
 
 
+def violations_of(*events):
+    """The violations, one per item, in the TimelineError that building a
+    timeline of ``events`` raises."""
+    with pytest.raises(TimelineError) as caught:
+        EventTimeline(events=events)
+    header, *violations = str(caught.value).split("\n  ")
+    assert header == "invalid timeline:"
+    return violations
+
+
 class TestBuiltinTimeline:
     def test_event_census(self):
         timeline = builtin_cdc_timeline()
@@ -81,8 +91,9 @@ class TestBuiltinTimeline:
         assert recalls == [date(2015, 9, 4), date(2015, 9, 11)]
 
     def test_announcement_dates_match_fixture_table(self):
-        announced = tuple(e.date for e in builtin_cdc_timeline().announcements())
-        assert announced == ANNOUNCEMENT_DATES
+        timeline = builtin_cdc_timeline()
+        assert tuple(e.date for e in timeline.announcements()) == ANNOUNCEMENT_DATES
+        assert timeline.boundaries == ANNOUNCEMENT_DATES
 
     def test_validates_clean(self):
         assert validate_timeline(builtin_cdc_timeline()) == []
@@ -120,18 +131,17 @@ class TestAssignPeriod:
         periods = [period_of(timeline, t) for t in instants]
         assert periods == sorted(periods)
 
+    # A timeline that could not bound periods cannot be built.
     def test_timeline_without_announcements_rejected(self):
-        timeline = EventTimeline(events=(EventRecord(date=date(2015, 7, 3), kind=ILLNESS_ONSET),))
-        with pytest.raises(TimelineError):
-            period_of(timeline, utc(2015, 9, 4))
+        assert violations_of(EventRecord(date=date(2015, 7, 3), kind=ILLNESS_ONSET)) \
+            == ["timeline has no announcement events"]
 
     def test_unordered_announcements_rejected(self):
-        timeline = EventTimeline(events=(
-            EventRecord(date=date(2015, 9, 9), kind=ANNOUNCEMENT),
-            EventRecord(date=date(2015, 9, 4), kind=ANNOUNCEMENT),
-        ))
-        with pytest.raises(TimelineError, match="strictly increasing"):
-            period_of(timeline, utc(2015, 9, 10))
+        assert violations_of(EventRecord(date=date(2015, 9, 9), kind=ANNOUNCEMENT),
+                             EventRecord(date=date(2015, 9, 4), kind=ANNOUNCEMENT)) == [
+            "events out of order: 2015-09-04 after 2015-09-09",
+            "announcement dates must strictly increase: 2015-09-09 then 2015-09-04",
+        ]
 
 
 class TestBucketCounts:
@@ -175,49 +185,50 @@ class TestBucketCounts:
 
 
 class TestValidateTimeline:
-    def _announcements(self, *rows):
-        events = [
+    """validate_timeline runs as an EventTimeline is built: an invalid one
+    raises a TimelineError naming each violation."""
+
+    def _violations(self, *rows):
+        return violations_of(*(
             EventRecord(date=d, kind=ANNOUNCEMENT, new_ill=new, cumulative_ill=cum)
             for d, new, cum in rows
-        ]
-        return EventTimeline(events=tuple(events))
+        ))
 
     def test_monotonicity_violation(self):
-        timeline = self._announcements(
+        violations = self._violations(
             (date(2015, 9, 4), None, 341), (date(2015, 9, 9), None, 300)
         )
-        violations = validate_timeline(timeline)
-        assert any("decrease" in v for v in violations)
+        assert violations == ["cumulative illnesses decrease from 341 to 300 at 2015-09-09"]
 
     def test_arithmetic_violation(self):
-        timeline = self._announcements(
+        violations = self._violations(
             (date(2015, 9, 4), None, 285), (date(2015, 9, 9), 50, 341)
         )
-        violations = validate_timeline(timeline)
-        assert any("arithmetic" in v for v in violations)
+        assert violations == ["arithmetic mismatch at 2015-09-09: 285 + 50 != 341 "
+                              "(previous cumulative at 2015-09-04)"]
 
     def test_out_of_order_dates(self):
-        timeline = self._announcements(
+        violations = self._violations(
             (date(2015, 9, 9), None, 285), (date(2015, 9, 4), 56, 341)
         )
-        assert validate_timeline(timeline)
+        assert "events out of order: 2015-09-04 after 2015-09-09" in violations
 
     def test_duplicate_announcement_dates(self):
-        timeline = self._announcements(
+        violations = self._violations(
             (date(2015, 9, 4), None, 285), (date(2015, 9, 4), 56, 341)
         )
-        assert any("strictly increase" in v for v in validate_timeline(timeline))
+        assert violations == [
+            "announcement dates must strictly increase: 2015-09-04 then 2015-09-04"]
 
     def test_reports_all_violations_not_just_first(self):
-        timeline = self._announcements(
+        violations = self._violations(
             (date(2015, 9, 9), None, 341),
             (date(2015, 9, 4), 10, 300),
         )
-        violations = validate_timeline(timeline)
-        assert len(violations) >= 2
+        assert len(violations) == 4
 
     def test_empty_timeline(self):
-        assert validate_timeline(EventTimeline(events=())) == ["timeline has no events"]
+        assert violations_of() == ["timeline has no events"]
 
     def test_perturbing_any_cumulative_by_one_is_caught(self):
         base = builtin_cdc_timeline()
@@ -229,7 +240,7 @@ class TestValidateTimeline:
                 mutated[index] = EventRecord(event.date, event.kind, event.new_ill,
                                              event.cumulative_ill + delta, event.states,
                                              event.note)
-                assert validate_timeline(EventTimeline(events=tuple(mutated))), (
+                assert violations_of(*mutated), (
                     f"perturbation at index {index} delta {delta} not caught"
                 )
 
@@ -323,6 +334,33 @@ def test_cut_histogram_equals_brute_scans(case):
     assert daily_frequency(days, start, end) == brute_daily(kept, start, end)
 
 
+TIMELINE_HEADER_ROW = "date,kind,new_ill,cumulative_ill,states,note"
+_INVALID = "ERROR timeline failure: invalid timeline:\n  "
+# violation kind -> (rows after the header, the whole of report's stderr)
+INVALID_TIMELINE_FILES = {
+    "no-events": ((), "ERROR timeline failure: timeline file has no events\n"),
+    "no-announcement": (("2015-07-03,illness_onset,,,,",),
+                        _INVALID + "timeline has no announcement events\n"),
+    "out-of-order": (("2015-09-09,recall,,,,", "2015-09-04,announcement,,285,27,"),
+                     _INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"),
+    "same-day": (("2015-09-04,announcement,,285,27,", "2015-09-04,announcement,56,341,30,"),
+                 _INVALID + "announcement dates must strictly increase: "
+                            "2015-09-04 then 2015-09-04\n"),
+    "decrease": (("2015-09-04,announcement,,341,27,", "2015-09-09,announcement,,300,30,"),
+                 _INVALID + "cumulative illnesses decrease from 341 to 300 at 2015-09-09\n"),
+    "mismatch": (("2015-09-04,announcement,,285,27,", "2015-09-09,announcement,50,341,30,"),
+                 _INVALID + "arithmetic mismatch at 2015-09-09: 285 + 50 != 341 "
+                            "(previous cumulative at 2015-09-04)\n"),
+    "several": (("2015-09-09,announcement,,341,30,", "2015-09-04,announcement,10,300,31,",
+                 "2015-09-04,recall,,,,"),
+                _INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"
+                "  announcement dates must strictly increase: 2015-09-09 then 2015-09-04\n"
+                "  cumulative illnesses decrease from 341 to 300 at 2015-09-04\n"
+                "  arithmetic mismatch at 2015-09-04: 341 + 10 != 300 "
+                "(previous cumulative at 2015-09-09)\n"),
+}
+
+
 class TestTimelineFiles:
     def test_print_builtin_stdout_is_pinned(self, capsys):
         assert main(["timeline", "--print-builtin"]) == EXIT_OK
@@ -361,6 +399,21 @@ class TestTimelineFiles:
     def test_empty_file(self):
         with pytest.raises(TimelineError):
             parse_timeline_file([])
+
+    @pytest.mark.parametrize("rows, stderr", INVALID_TIMELINE_FILES.values(),
+                             ids=INVALID_TIMELINE_FILES.keys())
+    def test_report_on_an_invalid_timeline_exits_6_naming_every_violation(
+            self, tmp_path, capsys, rows, stderr):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(record(0, utc(2015, 9, 5)).output_line(), encoding="utf-8")
+        timeline = tmp_path / "t.csv"
+        timeline.write_text("".join(f"{row}\n" for row in (TIMELINE_HEADER_ROW, *rows)),
+                            encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["report", "--input", str(stream), "--timeline", str(timeline),
+                     "--output", str(out)]) == EXIT_TIMELINE
+        assert capsys.readouterr().err == stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("row_no", [1, 3])
     def test_undecodable_byte_names_its_row(self, row_no):

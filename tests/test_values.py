@@ -45,7 +45,7 @@ FROZEN = {
     TrainingMeta: (lambda: TrainingMeta(1.0, 3, 0.25), ("C", "epochs_run", "final_objective")),
     SvmModel: (_model, ("weights", "bias", "vectorizer", "training_meta")),
     EventRecord: (_event, ("date", "kind", "new_ill", "cumulative_ill", "states", "note")),
-    EventTimeline: (lambda: EventTimeline((_event(),)), ("events",)),
+    EventTimeline: (lambda: EventTimeline((_event(),)), ("events", "boundaries")),
     PeriodRow: (lambda: PeriodRow(None, date(2015, 9, 4), 3), ("start", "end", "count")),
     PeriodReport: (lambda: PeriodReport((PeriodRow(None, None, 3),)), ("rows",)),
 }
