@@ -92,29 +92,6 @@ _show_info = True
 _TRAINING = TrainingConfig()
 
 
-class PipelineConfig(Value):
-    """Resolved settings for one invocation (defaults < config file < flags).
-    Each field is named after its config key."""
-
-    __slots__ = _fields = ("input", "keywords", "labeled", "model", "timeline", "output",
-                           "strictness", "c", "tolerance", "max_epochs", "seed",
-                           "daily_start", "daily_end", "final_cutoff")
-
-    def __init__(self, input: Path | None = None, keywords: Path | None = None,
-                 labeled: Path | None = None, model: Path | None = None,
-                 timeline: Path | None = None, output: Path = Path("."),
-                 strictness: str = "lenient", c: float = _TRAINING.C,
-                 tolerance: float = _TRAINING.tolerance, max_epochs: int = _TRAINING.max_epochs,
-                 seed: int = _TRAINING.seed, daily_start: date | None = None,
-                 daily_end: date | None = None, final_cutoff: date | None = None):
-        self._set_slots(input, keywords, labeled, model, timeline, output, strictness, c,
-                        tolerance, max_epochs, seed, daily_start, daily_end, final_cutoff)
-
-    def replace(self, **changes) -> PipelineConfig:
-        """A copy with the fields named in ``changes`` set to their values."""
-        return PipelineConfig(**dict(zip(self._fields, self._values()), **changes))
-
-
 def parse_path(value: str) -> Path:
     """A path setting. An empty one is refused: ``Path("")`` is ``.``, the
     working directory, which no setting means."""
@@ -130,60 +107,83 @@ def parse_strictness(value: str) -> str:
 
 
 # config-file key (a PipelineConfig field) -> (converter from a string, flag,
-# help); `--strict` is the one flag that takes no value
+# help, default); `--strict` is the one flag that takes no value
 CONFIG_KEYS = {
-    "input": (parse_path, "--input", "record file, one JSON object per line"),
-    "keywords": (parse_path, "--keywords", "phrase file, one per line (default: builtin set)"),
-    "labeled": (parse_path, "--labeled", "labeled training file (label -1 or 1 per record)"),
+    "input": (parse_path, "--input", "record file, one JSON object per line", None),
+    "keywords": (parse_path, "--keywords", "phrase file, one per line (default: builtin set)",
+                 None),
+    "labeled": (parse_path, "--labeled", "labeled training file (label -1 or 1 per record)",
+                None),
     "model": (parse_path, "--model",
-              "model file (train writes it; classify and pipeline read it)"),
-    "timeline": (parse_path, "--timeline", "timeline CSV (default: builtin CDC timeline)"),
-    "output": (parse_path, "--output", "output directory (default: current directory)"),
-    "strictness": (parse_strictness, "--strict", "abort on the first malformed line"),
-    "c": (float, "--c-param", f"soft-margin penalty C (default {_TRAINING.C})"),
-    "tolerance": (float, "--tolerance",
-                  f"stopping tolerance (default {_TRAINING.tolerance})"),
-    "max_epochs": (int, "--max-epochs", f"epoch cap (default {_TRAINING.max_epochs})"),
-    "seed": (int, "--seed", f"shuffling seed (default {_TRAINING.seed})"),
+              "model file (train writes it; classify and pipeline read it)", None),
+    "timeline": (parse_path, "--timeline", "timeline CSV (default: builtin CDC timeline)", None),
+    "output": (parse_path, "--output", "output directory (default: current directory)", Path(".")),
+    "strictness": (parse_strictness, "--strict", "abort on the first malformed line", "lenient"),
+    "c": (float, "--c-param", f"soft-margin penalty C (default {_TRAINING.C})", _TRAINING.C),
+    "tolerance": (float, "--tolerance", f"stopping tolerance (default {_TRAINING.tolerance})",
+                  _TRAINING.tolerance),
+    "max_epochs": (int, "--max-epochs", f"epoch cap (default {_TRAINING.max_epochs})",
+                   _TRAINING.max_epochs),
+    "seed": (int, "--seed", f"shuffling seed (default {_TRAINING.seed})", _TRAINING.seed),
     "daily_start": (parse_date, "--daily-start",
-                    "first day of the daily-frequency table (YYYY-MM-DD)"),
-    "daily_end": (parse_date, "--daily-end", "last day of the daily-frequency table (YYYY-MM-DD)"),
+                    "first day of the daily-frequency table (YYYY-MM-DD)", None),
+    "daily_end": (parse_date, "--daily-end",
+                  "last day of the daily-frequency table (YYYY-MM-DD)", None),
     "final_cutoff": (parse_date, "--final-cutoff",
-                     "last day counted in the final open-ended period (YYYY-MM-DD)"),
+                     "last day counted in the final open-ended period (YYYY-MM-DD)", None),
 }
 
-# subcommand -> (summary, the config keys it takes a flag for); each also
-# takes --config, --output and --quiet
+
+class PipelineConfig(Value):
+    """Resolved settings for one invocation (defaults < config file < flags).
+    Each field is named after its config key; an unset one takes the key's
+    default."""
+
+    __slots__ = _fields = tuple(CONFIG_KEYS)
+
+    def __init__(self, **settings):
+        unknown = settings.keys() - CONFIG_KEYS.keys()
+        if unknown:
+            raise TypeError(f"unknown setting {min(unknown)!r}")
+        self._set_slots(*(settings.get(key, entry[3]) for key, entry in CONFIG_KEYS.items()))
+
+    def replace(self, **changes) -> PipelineConfig:
+        """A copy with the fields named in ``changes`` set to their values."""
+        return PipelineConfig(**dict(zip(self._fields, self._values()), **changes))
+
+
+# subcommand -> (summary, the config keys it takes a flag for, the files it
+# writes in the output directory); each also takes --config, --output and
+# --quiet. Its path keys name the files it reads, except train's model, which
+# it writes.
 COMMANDS = {
     "filter": ("keep only records matching a keyword phrase",
-               ("input", "keywords", "strictness")),
+               ("input", "keywords", "strictness"), (FILTERED_NAME,)),
     "train": ("fit the tf-idf vocabulary and train the relevance SVM",
-              ("labeled", "model", "seed", "c", "tolerance", "max_epochs")),
+              ("labeled", "model", "seed", "c", "tolerance", "max_epochs"), ()),
     "classify": ("keep only records the model predicts relevant",
-                 ("input", "model", "strictness")),
+                 ("input", "model", "strictness"), (RELEVANT_NAME,)),
     "report": ("bucket classified records into announcement periods",
-               ("input", "timeline", "daily_start", "daily_end", "final_cutoff", "strictness")),
+               ("input", "timeline", "daily_start", "daily_end", "final_cutoff", "strictness"),
+               (PERIOD_CSV_NAME, DAILY_CSV_NAME)),
     "pipeline": ("filter, classify with an existing model, then report",
                  ("input", "keywords", "model", "timeline", "daily_start", "daily_end",
-                  "final_cutoff", "strictness")),
+                  "final_cutoff", "strictness"),
+                 (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
+                  MANIFEST_NAME)),
 }
 
-# inspection subcommand -> (summary, what its --print-builtin writes)
+# inspection subcommand -> (summary, what its --print-builtin writes); the
+# same names are the path keys that fall back to a built-in when unset
 BUILTINS = {
     "timeline": ("inspect the builtin timeline", BUILTIN_CDC_TIMELINE_CSV),
     "keywords": ("inspect the builtin keyword set", "\n".join(DEFAULT_PHRASES) + "\n"),
 }
 
-# The files pipeline reads (by config key) and writes (in the output
-# directory). config_hash covers exactly the settings pipeline takes a flag for.
-PIPELINE_INPUTS = ("input", "keywords", "model", "timeline")
-PIPELINE_OUTPUTS = (FILTERED_NAME, RELEVANT_NAME, PERIOD_CSV_NAME, DAILY_CSV_NAME,
-                    MANIFEST_NAME)
-HASHED_KEYS = COMMANDS["pipeline"][1]
-# subcommand -> the files it writes in the output directory (train writes
-# only its model file)
-COMMAND_OUTPUTS = {"filter": (FILTERED_NAME,), "train": (), "classify": (RELEVANT_NAME,),
-                   "report": (PERIOD_CSV_NAME, DAILY_CSV_NAME), "pipeline": PIPELINE_OUTPUTS}
+
+def _path_keys(command: str) -> tuple[str, ...]:
+    """The config keys of the files ``command`` reads (and train's model)."""
+    return tuple(key for key in COMMANDS[command][1] if CONFIG_KEYS[key][0] is parse_path)
 
 
 def parse_config_file(path: Path) -> dict[str, object]:
@@ -245,23 +245,11 @@ def _refuse_to_replace(inputs, outputs) -> None:
                 raise ValueError(f"output {output} would replace input file {path}")
 
 
-def _open_input(path: Path | None):
-    if path is None:
-        raise FileNotFoundError("no input file configured")
-    return _open_records(path)
-
-
 def _load_keyword_set(path: Path | None):
     if path is None:
         return default_keywords()
     with _open_records(path) as fh:
         return load_keywords(fh)
-
-
-def _load_model(path: Path | None):
-    if path is None:
-        raise FileNotFoundError("no model file configured")
-    return load_model(path)
 
 
 def _load_timeline(path: Path | None):
@@ -273,11 +261,11 @@ def _load_timeline(path: Path | None):
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    """Hash of the pipeline-semantic settings as typed (output location
-    excluded, so reruns into different directories produce identical
-    manifests)."""
+    """Hash of the settings pipeline takes a flag for, as typed (output
+    location excluded, so reruns into different directories produce
+    identical manifests)."""
     semantic = {key: None if getattr(cfg, key) is None else str(getattr(cfg, key))
-                for key in HASHED_KEYS}
+                for key in COMMANDS["pipeline"][1]}
     canonical = json.dumps(semantic, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -295,17 +283,15 @@ def input_hashes(cfg: PipelineConfig) -> dict:
     """sha256 of each input file's bytes, so the manifest tells two files
     apart that share a path; None for the built-in keywords or timeline."""
     return {key: None if getattr(cfg, key) is None else file_sha256(getattr(cfg, key))
-            for key in PIPELINE_INPUTS}
+            for key in _path_keys("pipeline")}
 
 
-def _write_kept(cfg: PipelineConfig, name: str, inputs, keep) -> tuple[RecordStream, int]:
+def _write_kept(cfg: PipelineConfig, name: str, keep) -> tuple[RecordStream, int]:
     """Stream the records of ``cfg.input`` into ``cfg.output / name``, writing
     each one whose text ``keep`` accepts; returns the spent stream and the
-    number kept. Refuses an output that would replace one of ``inputs``."""
-    out_path = cfg.output / name
-    _refuse_to_replace(inputs, [out_path])
+    number kept."""
     kept = 0
-    with _open_input(cfg.input) as fh, open_text_atomic(out_path) as out:
+    with _open_records(cfg.input) as fh, open_text_atomic(cfg.output / name) as out:
         records = RecordStream(fh, strict=cfg.strictness == "strict")
         for record in records:
             if keep(record.text):
@@ -315,8 +301,7 @@ def _write_kept(cfg: PipelineConfig, name: str, inputs, keep) -> tuple[RecordStr
 
 
 def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
-    records, kept = _write_kept(cfg, FILTERED_NAME, (cfg.input, cfg.keywords),
-                                partial(matches, keywords))
+    records, kept = _write_kept(cfg, FILTERED_NAME, partial(matches, keywords))
     dropped = records.accepted - kept
     _info(f"filter: {records.accepted} read ({records.rejected} rejected lines), "
           f"{kept} kept, {dropped} dropped -> {cfg.output / FILTERED_NAME}")
@@ -330,11 +315,6 @@ def run_filter(cfg: PipelineConfig, keywords: KeywordSet) -> dict:
 
 
 def run_train(cfg: PipelineConfig) -> None:
-    if cfg.labeled is None:
-        raise FileNotFoundError("no labeled training file configured")
-    if cfg.model is None:
-        raise FileNotFoundError("no model output path configured")
-    _refuse_to_replace([cfg.labeled], [cfg.model])
     with _open_records(cfg.labeled) as fh:
         examples = load_labeled_set(fh)
     negative, positive = class_counts(examples)
@@ -359,7 +339,7 @@ def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
     def is_relevant(text: str) -> bool:
         return predict(model, vectorize(model.vectorizer, text)) == 1
 
-    records, relevant = _write_kept(cfg, RELEVANT_NAME, (cfg.input, cfg.model), is_relevant)
+    records, relevant = _write_kept(cfg, RELEVANT_NAME, is_relevant)
     irrelevant = records.accepted - relevant
     _info(f"classify: {records.accepted} read, {relevant} relevant, "
           f"{irrelevant} irrelevant -> {cfg.output / RELEVANT_NAME}")
@@ -373,10 +353,8 @@ def run_classify(cfg: PipelineConfig, model: SvmModel) -> dict:
 
 
 def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
-    _refuse_to_replace((cfg.input, cfg.timeline),
-                       [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
     # Every table depends on a record's UTC day alone, so one histogram is kept.
-    with _open_input(cfg.input) as fh:
+    with _open_records(cfg.input) as fh:
         records = RecordStream(fh, strict=cfg.strictness == "strict")
         days = day_counts(records)
     if cfg.final_cutoff is not None:
@@ -412,11 +390,9 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    # Check the outputs and load every small input before any stage writes.
-    _refuse_to_replace([getattr(cfg, key) for key in PIPELINE_INPUTS],
-                       [cfg.output / name for name in PIPELINE_OUTPUTS])
+    # Load every small input before any stage writes.
     keywords = _load_keyword_set(cfg.keywords)
-    model = _load_model(cfg.model)
+    model = load_model(cfg.model)
     timeline = _load_timeline(cfg.timeline)
     stages = {
         "filter": run_filter(cfg, keywords),
@@ -471,12 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, keys) in COMMANDS.items():
+    for command, (summary, keys, _) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", type=flag_type(parse_path),
                        help="flat key = value config file")
         for key in ("output", *keys):
-            convert, flag, help_text = CONFIG_KEYS[key]
+            convert, flag, help_text, _ = CONFIG_KEYS[key]
             if key == "strictness":
                 p.add_argument(flag, action="store_const", const="strict", dest=key,
                                help=help_text)
@@ -521,17 +497,22 @@ def main(argv: list[str] | None = None) -> int:
             _write_stdout(BUILTINS[args.command][1])
             return EXIT_OK
         cfg = build_config(args)
-        # the config file is an input of every command
-        outputs = [cfg.output / name for name in COMMAND_OUTPUTS[args.command]]
-        if args.command == "train" and cfg.model is not None:
-            outputs.append(cfg.model)
-        _refuse_to_replace([args.config], outputs)
+        # Check the command's files before any input loads: each it needs is
+        # set, and no output replaces an input, the config file included.
+        paths = {key: getattr(cfg, key) for key in _path_keys(args.command)}
+        for key, path in paths.items():
+            if path is None and key not in BUILTINS:
+                raise FileNotFoundError(f"no {key} file configured")
+        outputs = [cfg.output / name for name in COMMANDS[args.command][2]]
+        if args.command == "train":
+            outputs.append(paths.pop("model"))
+        _refuse_to_replace([args.config, *paths.values()], outputs)
         if args.command == "filter":
             run_filter(cfg, _load_keyword_set(cfg.keywords))
         elif args.command == "train":
             run_train(cfg)
         elif args.command == "classify":
-            run_classify(cfg, _load_model(cfg.model))
+            run_classify(cfg, load_model(cfg.model))
         elif args.command == "report":
             run_report(cfg, _load_timeline(cfg.timeline))
         else:

@@ -244,8 +244,6 @@ def parse_timeline_file(lines: Iterable[str]) -> EventTimeline:
         except ValueError as exc:
             raise TimelineError(f"row {row_no}: {exc}") from None
         events.append(event)
-    if not events:
-        raise TimelineError("timeline file has no events")
     return EventTimeline(events=tuple(events))
 
 

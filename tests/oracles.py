@@ -23,7 +23,6 @@ from outbreakmon.cli import (
     PERIOD_CSV_NAME,
     RELEVANT_NAME,
     _open_records,
-    _refuse_to_replace,
 )
 from outbreakmon.corpus import parse_tweet_line, write_text_atomic
 from outbreakmon.errors import ParseError
@@ -271,14 +270,11 @@ def materialized_corpus(lines, strictness):
 
 
 def _materialized_input(cfg):
-    if cfg.input is None:
-        raise FileNotFoundError("no input file configured")
     with _open_records(cfg.input) as fh:
         return materialized_corpus(fh, cfg.strictness)
 
 
 def materialized_filter(cfg, keywords):
-    _refuse_to_replace((cfg.input, cfg.keywords), [cfg.output / FILTERED_NAME])
     records, rejected = _materialized_input(cfg)
     kept = [r for r in records if matches(keywords, r.text)]
     out_path = cfg.output / FILTERED_NAME
@@ -290,7 +286,6 @@ def materialized_filter(cfg, keywords):
 
 
 def materialized_classify(cfg, model):
-    _refuse_to_replace((cfg.input, cfg.model), [cfg.output / RELEVANT_NAME])
     records, rejected = _materialized_input(cfg)
     relevant = [r for r in records if predict(model, vectorize(model.vectorizer, r.text)) == 1]
     out_path = cfg.output / RELEVANT_NAME
@@ -303,8 +298,6 @@ def materialized_classify(cfg, model):
 
 
 def materialized_report(cfg, timeline):
-    _refuse_to_replace((cfg.input, cfg.timeline),
-                       [cfg.output / PERIOD_CSV_NAME, cfg.output / DAILY_CSV_NAME])
     records, rejected = _materialized_input(cfg)
     kept = [r for r in records
             if cfg.final_cutoff is None or r.timestamp.date() <= cfg.final_cutoff]

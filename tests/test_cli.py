@@ -7,6 +7,7 @@ import pytest
 
 from outbreakmon import cli
 from outbreakmon.cli import (
+    COMMANDS,
     DAILY_CSV_NAME,
     EXIT_IO,
     EXIT_MODEL,
@@ -17,7 +18,6 @@ from outbreakmon.cli import (
     FILTERED_NAME,
     MANIFEST_NAME,
     PERIOD_CSV_NAME,
-    PIPELINE_OUTPUTS,
     RELEVANT_NAME,
     main,
 )
@@ -563,7 +563,7 @@ class TestPipeline:
         config = write_lines(tmp_path / "run.conf", [
             f"input = {stream_file}", f"model = {model_file}", f"output = {tmp_path / 'c'}"])
         first = self.run(capsys, tmp_path / "a", *argv)
-        assert sorted(first[1]) == sorted(PIPELINE_OUTPUTS)
+        assert sorted(first[1]) == sorted(COMMANDS["pipeline"][2])
         assert self.run(capsys, tmp_path / "b", *argv) == first
         assert self.run(capsys, tmp_path / "c", "--config", str(config), flag=False) == first
 

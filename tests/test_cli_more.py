@@ -22,7 +22,6 @@ from outbreakmon.cli import (
     FILTERED_NAME,
     MANIFEST_NAME,
     PERIOD_CSV_NAME,
-    PIPELINE_OUTPUTS,
     RELEVANT_NAME,
     PipelineConfig,
     _build_parser,
@@ -158,7 +157,7 @@ def test_runs_under_two_hash_seeds_write_the_same_bytes(tmp_path):
             stdout.append(result.stdout)
         files = {path.name: path.read_bytes() for path in out.iterdir()}
         runs.append((model.read_bytes(), stdout, files))
-    assert sorted(runs[0][2]) == sorted(PIPELINE_OUTPUTS)
+    assert sorted(runs[0][2]) == sorted(COMMANDS["pipeline"][2])
     assert runs[0] == runs[1]
 
 
@@ -362,24 +361,34 @@ def _train(tmp_path):
     return model
 
 
-# command -> (arguments whose output replaces the input o/<name>, <name>)
+# case -> (arguments whose output replaces the input o/<name>, <name>, the
+# exit code of the same arguments into an empty directory). The last three
+# cases also name the file "bad", which cannot load: the refusal comes first.
 REPLACING_RUNS = {
-    "filter": (["filter", "--input", "o/filtered.jsonl"], FILTERED_NAME),
-    "train": (["train", "--labeled", "o/l.jsonl", "--model", "o/../o/l.jsonl"], "l.jsonl"),
+    "filter": (["filter", "--input", "o/filtered.jsonl"], FILTERED_NAME, EXIT_OK),
+    "train": (["train", "--labeled", "o/l.jsonl", "--model", "o/../o/l.jsonl"], "l.jsonl",
+              None),
     "classify": (["classify", "--input", "o/relevant.jsonl", "--model", "model.json"],
-                 RELEVANT_NAME),
-    "report": (["report", "--input", "o/period_counts.csv"], PERIOD_CSV_NAME),
+                 RELEVANT_NAME, EXIT_OK),
+    "report": (["report", "--input", "o/period_counts.csv"], PERIOD_CSV_NAME, EXIT_OK),
     "pipeline": (["pipeline", "--input", "o/relevant.jsonl", "--model", "model.json"],
-                 RELEVANT_NAME),
+                 RELEVANT_NAME, EXIT_OK),
+    "classify-corrupt-model": (["classify", "--input", "o/relevant.jsonl", "--model", "bad"],
+                               RELEVANT_NAME, EXIT_MODEL),
+    "filter-undecodable-keywords": (["filter", "--input", "o/filtered.jsonl",
+                                     "--keywords", "bad"], FILTERED_NAME, EXIT_PARSE),
+    "report-invalid-timeline": (["report", "--input", "o/period_counts.csv",
+                                 "--timeline", "bad"], PERIOD_CSV_NAME, EXIT_TIMELINE),
 }
 
 
-@pytest.mark.parametrize("command", sorted(REPLACING_RUNS))
+@pytest.mark.parametrize("case", sorted(REPLACING_RUNS))
 def test_output_that_is_an_input_file_exits_2_before_any_write(tmp_path, monkeypatch,
-                                                                capsys, command):
+                                                                capsys, case):
     monkeypatch.chdir(tmp_path)
     _train(tmp_path)
-    argv, name = REPLACING_RUNS[command]
+    (tmp_path / "bad").write_bytes(b"\xff\n")
+    argv, name, elsewhere = REPLACING_RUNS[case]
     out = tmp_path / "o"
     out.mkdir()
     (out / name).write_text("".join(line + "\n" for line in labeled_lines(20, 20)),
@@ -388,6 +397,51 @@ def test_output_that_is_an_input_file_exits_2_before_any_write(tmp_path, monkeyp
     assert main([*argv, "--output", "o"]) == EXIT_IO
     assert "would replace input file" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    if elsewhere is not None:
+        # into another directory the same inputs load, or fail with their own code
+        assert main([*argv, "--output", "elsewhere", "--quiet"]) == elsewhere
+
+
+# command -> (its file keys that have no built-in, in the order it checks them)
+REQUIRED_FILES = {"filter": ("input",), "train": ("labeled", "model"),
+                  "classify": ("input", "model"), "report": ("input",),
+                  "pipeline": ("input", "model")}
+FILE_FLAGS = {"input": ["--input", "stream.jsonl"], "labeled": ["--labeled", "labeled.jsonl"]}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, keys
+                                          in REQUIRED_FILES.items() for key in keys])
+def test_an_unset_required_file_exits_2_before_the_output_directory_is_made(
+        tmp_path, monkeypatch, capsys, command, key):
+    monkeypatch.chdir(tmp_path)
+    _train(tmp_path)
+    (tmp_path / "stream.jsonl").write_text(
+        "".join(line + "\n" for line in stream_lines(20)), encoding="utf-8")
+    # train writes its model, so there it goes under the output directory
+    flags = dict(FILE_FLAGS, model=["--model", "o/m.json" if command == "train" else "model.json"])
+    argv = [command, *(flag for other in REQUIRED_FILES[command] if other != key
+                       for flag in flags[other]), "--output", "o"]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("ERROR")] == [
+        f"ERROR no {key} file configured"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "classify", "report", "pipeline"])
+def test_a_run_into_an_empty_directory_writes_exactly_its_listed_files(tmp_path, monkeypatch,
+                                                                       command):
+    # the refusal to replace an input checks only the files COMMANDS lists
+    monkeypatch.chdir(tmp_path)
+    model = _train(tmp_path)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(line + "\n" for line in stream_lines(200)), encoding="utf-8")
+    model_flags = ["--model", str(model)] if command in ("classify", "pipeline") else []
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main([command, "--input", str(stream), *model_flags, "--output", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == sorted(COMMANDS[command][2])
 
 
 # command -> (the output o/<name> that --config names, its settings, more arguments)
@@ -584,7 +638,7 @@ def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, command, unbu
 def test_an_empty_path_is_refused_naming_its_setting(tmp_path, capsys, monkeypatch, key):
     # Path("") is ".": read as a path, an empty value named the working directory
     monkeypatch.chdir(tmp_path)
-    command = next(name for name, (_, keys) in COMMANDS.items() if key in ("output", *keys))
+    command = next(name for name, (_, keys, _) in COMMANDS.items() if key in ("output", *keys))
     flag = CONFIG_KEYS[key][1]
     with pytest.raises(SystemExit) as excinfo:
         main([command, flag, "", "--quiet"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import outbreakmon
-from outbreakmon.cli import EXIT_IO, EXIT_OK, PIPELINE_OUTPUTS, main
+from outbreakmon.cli import COMMANDS, EXIT_IO, EXIT_OK, main
 
 from synthdata import (
     DECOY_TEMPLATES,
@@ -160,7 +160,7 @@ def test_failed_stderr_write_keeps_the_exit_code(work, tmp_path, case, expected_
         os.close(stderr)
     assert result.returncode == expected_code
     if case == "lenient pipeline":
-        assert sorted(path.name for path in out.iterdir()) == sorted(PIPELINE_OUTPUTS)
+        assert sorted(path.name for path in out.iterdir()) == sorted(COMMANDS["pipeline"][2])
         assert result.stdout.startswith(b"period_start,period_end,tweet_count\n")
     else:
         assert not out.exists()

@@ -122,7 +122,7 @@ def test_streaming_pipeline_equals_the_materializing_stages(model_file, stream, 
             out = work / name / "out"
             if previous:
                 out.mkdir(parents=True)
-                for output in cli.PIPELINE_OUTPUTS:
+                for output in cli.COMMANDS["pipeline"][2]:
                     (out / output).write_text(f"previous {output}\n", encoding="utf-8")
             results.append((run(argv, out), (work / name).exists()))
             shutil.rmtree(work / name, ignore_errors=True)

@@ -338,7 +338,7 @@ TIMELINE_HEADER_ROW = "date,kind,new_ill,cumulative_ill,states,note"
 _INVALID = "ERROR timeline failure: invalid timeline:\n  "
 # violation kind -> (rows after the header, the whole of report's stderr)
 INVALID_TIMELINE_FILES = {
-    "no-events": ((), "ERROR timeline failure: timeline file has no events\n"),
+    "no-events": ((), _INVALID + "timeline has no events\n"),
     "no-announcement": (("2015-07-03,illness_onset,,,,",),
                         _INVALID + "timeline has no announcement events\n"),
     "out-of-order": (("2015-09-09,recall,,,,", "2015-09-04,announcement,,285,27,"),
