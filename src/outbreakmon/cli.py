@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-from datetime import date
 from functools import lru_cache, partial
 from pathlib import Path
 

@@ -280,23 +280,32 @@ class TestScoreMemo:
         return "".join(r.to_line() + "\n" for r in kept).encode("utf-8")
 
     @staticmethod
-    def count_score_calls(monkeypatch):
-        calls = []
+    def spy_on_scorer(monkeypatch):
+        # classify must score through the vectorize and predict that cli looks
+        # up; the benchmark's tracer times each layer there.
+        texts, vectors = [], []
 
-        def spy(model, vector):
-            calls.append(vector)
+        def vectorize_spy(model, text):
+            texts.append(text)
+            return vectorize(model, text)
+
+        def predict_spy(model, vector):
+            vectors.append(vector)
             return predict(model, vector)
 
-        monkeypatch.setattr(cli, "predict", spy)
-        return calls
+        monkeypatch.setattr(cli, "vectorize", vectorize_spy)
+        monkeypatch.setattr(cli, "predict", predict_spy)
+        return texts, vectors
 
     def test_vectorizes_each_distinct_text_once(self, tmp_path, model_file, repeat_stream,
                                                 monkeypatch):
-        calls = self.count_score_calls(monkeypatch)
+        vectorized, scored = self.spy_on_scorer(monkeypatch)
         self.classify(tmp_path, model_file, repeat_stream)
         with repeat_stream.open(encoding="utf-8") as fh:
             texts = [r.text for r in load_corpus(fh)]
-        assert len(calls) == len(set(texts)) == 7
+        assert sorted(vectorized) == sorted(set(texts))
+        assert len(vectorized) == len(scored) == 7
+        assert any(vector.entries for vector in scored)
         assert len(texts) == 60
 
     def test_output_equals_scoring_every_record(self, tmp_path, model_file, repeat_stream):
@@ -306,10 +315,10 @@ class TestScoreMemo:
     def test_output_unchanged_when_the_memo_evicts(self, tmp_path, model_file,
                                                    repeat_stream, monkeypatch):
         monkeypatch.setattr(cli, "SCORE_MEMO_LIMIT", 2)
-        calls = self.count_score_calls(monkeypatch)
+        _, scored = self.spy_on_scorer(monkeypatch)
         assert self.classify(tmp_path, model_file, repeat_stream) \
             == self.memo_free_relevant(model_file, repeat_stream)
-        assert 7 < len(calls) < 60
+        assert 7 < len(scored) < 60
 
     def test_no_verdict_outlives_its_model(self, tmp_path, model_file, repeat_stream):
         # A second model whose bias keeps only the top-scoring text: the same

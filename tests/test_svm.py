@@ -24,7 +24,7 @@ from outbreakmon.svm import (
     train_from_labeled,
     training_accuracy,
 )
-from outbreakmon.vectorizer import SparseVector, TfIdfModel, Vocabulary, vectorize
+from outbreakmon.vectorizer import SparseVector, TfIdfModel, Vocabulary
 
 from oracles import svm_grid_solve, svm_qp_solve
 from synthdata import labeled_lines
