@@ -364,13 +364,7 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
     period_table = format_period_report(report)
     write_text_atomic(cfg.output / PERIOD_CSV_NAME, period_table)
 
-    start = cfg.daily_start or min(days, default=None)
-    end = cfg.daily_end or max(days, default=None)
-    if start is None or end is None or end < start:
-        # no data and no explicit range, or one bound beyond the data: header only
-        series = []
-    else:
-        series = daily_frequency(days, start, end)
+    series = daily_frequency(days, cfg.daily_start, cfg.daily_end)
     write_text_atomic(cfg.output / DAILY_CSV_NAME, format_daily_counts(series))
 
     _write_stdout(period_table)

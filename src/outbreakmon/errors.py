@@ -1,19 +1,14 @@
 """Exception types raised across the pipeline, and the writer of the
 diagnostics that report them.
 
-Each leaf class maps to one CLI exit code (see ``outbreakmon.cli``), so
-library callers and the command-line front end agree on failure taxonomy.
+Each class maps to one CLI exit code (see ``outbreakmon.cli``).
 """
 import os
 import sys
 from contextlib import suppress
 
 
-class PipelineError(Exception):
-    """Base class for all errors this package raises on bad input or state."""
-
-
-class ParseError(PipelineError):
+class ParseError(Exception):
     """An input line or file could not be parsed.
 
     Carries the offending line number (1-based) when known, so batch loaders
@@ -27,15 +22,15 @@ class ParseError(PipelineError):
         super().__init__(f"{prefix}{reason}")
 
 
-class TrainingDataError(PipelineError):
+class TrainingDataError(Exception):
     """Labeled data unusable for training (empty set, single class)."""
 
 
-class ModelFileError(PipelineError):
+class ModelFileError(Exception):
     """Model file is corrupt, wrong version, or internally inconsistent."""
 
 
-class TimelineError(PipelineError):
+class TimelineError(Exception):
     """Event timeline is malformed or fails validation."""
 
 

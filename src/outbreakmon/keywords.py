@@ -45,7 +45,8 @@ _SEPARATORS = r"(?:[^\w&]|_)+"
 
 
 class KeywordSet(Value):
-    """A non-empty collection of non-empty keyword phrases."""
+    """A non-empty collection of non-empty keyword phrases. A phrase with no
+    token after normalization raises ValueError: it has no first token."""
 
     # pattern: every phrase as a token run in lowercased text, for matches();
     # anchors: the longest token of each normalized phrase, deduplicated: a
@@ -60,8 +61,6 @@ class KeywordSet(Value):
         anchors: dict[str, None] = {}
         for phrase in phrases:
             tokens = normalize_text(phrase).split()
-            if not tokens:
-                raise ValueError(f"phrase {phrase!r} is empty after normalization")
             first, *rest = map(re.escape, tokens)
             # no letter, digit or & may touch either end of the run; the
             # check before it follows the first token, so that every branch

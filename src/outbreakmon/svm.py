@@ -221,11 +221,6 @@ def train_from_labeled(
 def decision_value(model: SvmModel, vector: SparseVector) -> float:
     """Signed distance proxy ``w . v + b``: the products summed left to right
     in sorted index order (``SparseVector.dot``), then the bias added."""
-    if vector.entries and vector.entries[-1][0] >= len(model.weights):
-        raise IndexError(
-            f"vector index {vector.entries[-1][0]} out of range for "
-            f"{len(model.weights)} weights"
-        )
     return vector.dot(model.weights) + model.bias
 
 

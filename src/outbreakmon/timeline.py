@@ -189,11 +189,15 @@ def validate_timeline(timeline: EventTimeline) -> list[str]:
     return violations
 
 
-def daily_frequency(days: dict[date, int], start: date, end: date) -> list[tuple[date, int]]:
+def daily_frequency(days: dict[date, int], start: date | None = None,
+                    end: date | None = None) -> list[tuple[date, int]]:
     """Per-calendar-day tweet counts over [start, end] from a ``day_counts``
-    histogram, zero-filled."""
-    if end < start:
-        raise ValueError(f"inverted interval: {start}..{end}")
+    histogram, zero-filled. An unset bound is the histogram's first or last
+    day; with no day to take, or with end before start, there are no rows."""
+    start = start or min(days, default=None)
+    end = end or max(days, default=None)
+    if start is None or end is None:
+        return []
     # Step over day ordinals: adding a day to 9999-12-31 would overflow.
     return [(day, days.get(day, 0))
             for day in map(date.fromordinal, range(start.toordinal(), end.toordinal() + 1))]

@@ -147,8 +147,6 @@ def build_vocabulary(training_docs: Iterable[Sequence[str]]) -> Vocabulary:
 
 def inverse_document_frequency(vocab: Vocabulary, term: str) -> float:
     """Natural-log idf, ``ln(N / df)``; zero for terms in every document."""
-    if term not in vocab.terms:
-        raise KeyError(f"term {term!r} is not in the vocabulary")
     return math.log(vocab.corpus_size / vocab.doc_frequency[term])
 
 

@@ -1,11 +1,12 @@
-"""Every name a package module imports at its top level is used there.
-No linter runs on this project, so this test is the check."""
+"""Every name a package or test module imports at its top level is used
+there. No linter runs on this project, so this test is the check."""
 import ast
 from pathlib import Path
 
 import outbreakmon
 
 PACKAGE = Path(outbreakmon.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -21,6 +22,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+    unused = {f"{path.parent.name}/{path.name}": names
+              for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}

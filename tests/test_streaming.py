@@ -1,4 +1,5 @@
-"""The streaming stages against the materializing ones they replaced.
+"""The streaming stages against the materializing ones they replaced, and
+``pipeline`` against its three commands run in turn.
 
 ``tests/oracles.py`` keeps the old ``filter``/``classify``/``report``, which
 parse their whole input into a tuple and write one joined string. Every
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from outbreakmon import cli
-from outbreakmon.cli import EXIT_OK, main
+from outbreakmon.cli import EXIT_OK, FILTERED_NAME, MANIFEST_NAME, RELEVANT_NAME, main
 from outbreakmon.corpus import format_timestamp
 
 from synthdata import DECOY_TEMPLATES, NOISE_TEMPLATES, RELEVANT_TEMPLATES, labeled_lines
@@ -128,3 +129,43 @@ def test_streaming_pipeline_equals_the_materializing_stages(model_file, stream, 
             shutil.rmtree(work / name, ignore_errors=True)
         event(f"exit {results[0][0][0]}")
         assert results[0] == results[1]
+
+
+def _chained_run(source, model, flags, cutoff, out):
+    """``filter``, ``classify`` on its output, then ``report`` on that, into
+    one directory, stopping at the first non-zero exit."""
+    steps = (["filter", "--input", str(source)],
+             ["classify", "--input", str(out / FILTERED_NAME), "--model", str(model)],
+             ["report", "--input", str(out / RELEVANT_NAME), *cutoff])
+    stdout = stderr = ""
+    for argv in steps:
+        code, step_stdout, step_stderr, files = _run([*argv, *flags], out)
+        stdout += step_stdout
+        stderr += step_stderr
+        if code != EXIT_OK:
+            break
+    return code, stdout, stderr, files
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=_streams(), strict=st.booleans(),
+       cutoff=st.sampled_from([[], ["--final-cutoff", "2015-10-01"]]))
+def test_pipeline_equals_its_three_commands_chained(model_file, stream, strict, cutoff):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        source = work / "stream.jsonl"
+        source.write_bytes(stream)
+        flags = ["--strict"] if strict else []
+        code, stdout, stderr, files = _run(
+            ["pipeline", "--input", str(source), "--model", str(model_file), *cutoff, *flags],
+            work / "pipeline")
+        chained = _chained_run(source, model_file, flags, cutoff, work / "chained")
+        event(f"exit {code}")
+        # pipeline's closing line, which an abort leaves out, and its manifest
+        # are the two things the commands run in turn do not make
+        closing = f"INFO pipeline complete; manifest -> OUT/{MANIFEST_NAME}\n"
+        if code == EXIT_OK:
+            assert stderr.endswith(closing)
+            stderr = stderr.removesuffix(closing)
+        files.pop(MANIFEST_NAME, None)
+        assert (code, stdout, stderr, files) == chained

@@ -260,9 +260,27 @@ class TestDailyFrequency:
         assert len(series) == 10
         assert all(count == 0 for _, count in series)
 
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            daily_frequency({}, date(2015, 9, 2), date(2015, 9, 1))
+    def test_inverted_interval_gives_no_rows(self):
+        assert daily_frequency({}, date(2015, 9, 2), date(2015, 9, 1)) == []
+
+    def test_an_unset_bound_is_the_histograms_first_or_last_day(self):
+        days = {date(2015, 9, 4): 2, date(2015, 9, 6): 1}
+        assert daily_frequency(days) == [
+            (date(2015, 9, 4), 2), (date(2015, 9, 5), 0), (date(2015, 9, 6), 1)]
+        assert daily_frequency(days, start=date(2015, 9, 5)) == [
+            (date(2015, 9, 5), 0), (date(2015, 9, 6), 1)]
+        assert daily_frequency(days, end=date(2015, 9, 5)) == [
+            (date(2015, 9, 4), 2), (date(2015, 9, 5), 0)]
+
+    def test_no_bounds_and_no_days_give_no_rows(self):
+        assert daily_frequency({}) == []
+        assert daily_frequency({}, start=date(2015, 9, 1)) == []
+        assert daily_frequency({}, end=date(2015, 9, 1)) == []
+
+    def test_one_bound_beyond_the_data_gives_no_rows(self):
+        days = {date(2015, 9, 4): 2, date(2015, 9, 6): 1}
+        assert daily_frequency(days, start=date(2015, 9, 7)) == []
+        assert daily_frequency(days, end=date(2015, 9, 3)) == []
 
     def test_series_may_end_on_the_last_representable_day(self):
         series = daily_frequency({}, date(9999, 12, 30), date.max)
