@@ -270,12 +270,9 @@ def config_hash(cfg: PipelineConfig) -> str:
 
 
 def file_sha256(path: Path) -> str:
-    """sha256 of a file's bytes, read in 1 MiB chunks."""
-    digest = hashlib.sha256()
+    """sha256 of a file's bytes."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def input_hashes(cfg: PipelineConfig) -> dict:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import tempfile
 from contextlib import contextmanager, suppress
 from datetime import date, datetime, timezone
@@ -119,17 +118,15 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     raise _timestamp_error(raw, line_no)
 
 
-# fromisoformat reads the "Z" suffix itself from Python 3.11 on; Python
-# 3.10's rejects it, so there the suffix is rewritten to "+00:00" first.
-_fromisoformat_z = (datetime.fromisoformat if sys.version_info >= (3, 11)
-                    else lambda raw: datetime.fromisoformat(raw[:-1] + "+00:00"))
+# Bound once, so a call skips the attribute lookup; it reads the "Z" itself.
+_fromisoformat = datetime.fromisoformat
 
 
 def _utc_from_shaped(raw: str) -> datetime | None:
     """The instant of a timestamp already in _TIMESTAMP_SHAPE, or None for an
     impossible date such as 2015-02-30."""
     try:
-        return _fromisoformat_z(raw)
+        return _fromisoformat(raw)
     except ValueError:
         return None
 

@@ -16,7 +16,6 @@ class ParseError(Exception):
     """
 
     def __init__(self, reason: str, line_no: int | None = None):
-        self.reason = reason
         self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(f"{prefix}{reason}")

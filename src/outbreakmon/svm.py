@@ -235,8 +235,6 @@ def predict(model: SvmModel, vector: SparseVector) -> int:
 
 def training_accuracy(model: SvmModel, examples: Sequence[LabeledExample]) -> float:
     """Fraction of labeled examples the model reproduces."""
-    if model.vectorizer is None:
-        raise ValueError("model has no embedded vectorizer")
     hits = sum(
         1
         for ex in examples
@@ -270,8 +268,6 @@ def save_model(model: SvmModel, destination: str | Path) -> None:
     Floats are serialized with shortest round-trip repr, so loading restores
     every numeric field bit-exactly; the write is atomic (``write_text_atomic``).
     """
-    if model.vectorizer is None:
-        raise ValueError("cannot save a model without an embedded vectorizer")
     vocab = model.vectorizer.vocabulary
     index_to_term = sorted(vocab.terms, key=vocab.terms.get)
     payload = {

@@ -138,8 +138,6 @@ def build_vocabulary(training_docs: Iterable[Sequence[str]]) -> Vocabulary:
             if token not in terms:
                 terms[token] = len(terms)
             doc_frequency[token] = doc_frequency.get(token, 0) + 1
-    if corpus_size == 0:
-        raise TrainingDataError("cannot build a vocabulary from zero documents")
     if not terms:
         raise TrainingDataError("training documents contain no tokens")
     return Vocabulary(terms=terms, doc_frequency=doc_frequency, corpus_size=corpus_size)

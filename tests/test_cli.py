@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -21,12 +22,18 @@ from outbreakmon.cli import (
     RELEVANT_NAME,
     main,
 )
-from outbreakmon.corpus import load_corpus
+from outbreakmon.corpus import load_corpus, load_labeled_set
 from outbreakmon.svm import SvmModel, decision_value, load_model, predict, save_model
 from outbreakmon.timeline import builtin_cdc_timeline, parse_timeline_file
-from outbreakmon.vectorizer import vectorize
+from outbreakmon.vectorizer import _word_runs, vectorize
 
-from oracles import brute_bucket, brute_daily, brute_phrase_match
+from oracles import (
+    brute_bucket,
+    brute_daily,
+    brute_phrase_match,
+    findall_tokenize,
+    tfidf_by_hand,
+)
 from synthdata import (
     ANNOUNCEMENT_DATES,
     DECOY_TEMPLATES,
@@ -173,6 +180,16 @@ class TestTrain:
                      "--quiet"])
         assert code == EXIT_PARSE
 
+    def test_repeated_id_exits_3_naming_its_line(self, tmp_path, capsys):
+        lines = labeled_lines(2, 2)
+        repeated = write_lines(tmp_path / "repeated.jsonl", [*lines, lines[1]])
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--labeled", str(repeated), "--model", str(model_path),
+                     "--quiet"]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "ERROR parse failure: line 5: duplicate id 'pos1'\n"
+        assert not model_path.exists()
+
 
 class TestClassify:
     def test_training_texts_all_retained(self, tmp_path, model_file):
@@ -307,6 +324,30 @@ class TestScoreMemo:
         assert len(vectorized) == len(scored) == 7
         assert any(vector.entries for vector in scored)
         assert len(texts) == 60
+
+    def test_a_repeated_vocabulary_token_scores_by_the_formula(
+            self, tmp_path, model_file, labeled_file, monkeypatch):
+        # a repeated token takes vectorize's count branch; "salmonella" is in
+        # every labeled text, so its idf is 0 and its repeat alone does not
+        texts = ["Recall of cucumbers: cucumbers linked to Salmonella Poona",
+                 "Salmonella, salmonella and #salmonella",
+                 "cdc cdc cdc: outbreak 2015 2015"]
+        base = datetime(2015, 9, 10, tzinfo=timezone.utc)
+        stream = write_lines(tmp_path / "counts.jsonl", [
+            record_line(f"c{i}", base + timedelta(minutes=i), text)
+            for i, text in enumerate(texts)])
+        vectorized, scored = self.spy_on_scorer(monkeypatch)
+        self.classify(tmp_path, model_file, stream)
+        assert sorted(vectorized) == sorted(texts)
+        with labeled_file.open(encoding="utf-8") as fh:
+            collection = [findall_tokenize(ex.record.text) for ex in load_labeled_set(fh)]
+        vocabulary = load_model(model_file).vectorizer.vocabulary
+        for text, vector in zip(vectorized, scored):
+            [want] = tfidf_by_hand(collection, [findall_tokenize(text)])
+            assert vector.entries == tuple(
+                sorted((vocabulary.terms[term], value) for term, value in want.items()))
+        assert any(count > 1 and run in vocabulary.index_idf
+                   for text in texts for run, count in Counter(_word_runs(text)).items())
 
     def test_output_equals_scoring_every_record(self, tmp_path, model_file, repeat_stream):
         assert self.classify(tmp_path, model_file, repeat_stream) \
@@ -679,9 +720,10 @@ class TestConfigFile:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
-        # a value its key refuses names its line too
+        # a value its key refuses, and a line without "=", name their line too
         config = tmp_path / "bad.conf"
         for text, fault in ((b"final_cutoff = 2016-03-31 \xff", "invalid UTF-8"),
+                            (b"final_cutoff 2016-03-31", "expected key = value"),
                             (b"strictness = strickt", "bad value for strictness: "
                                                       "must be strict or lenient, got 'strickt'")):
             config.write_bytes(b"# settings\n" + text + b"\n")
@@ -706,6 +748,15 @@ class TestBuiltinPrinters:
         stdout = capsys.readouterr().out
         parsed = parse_timeline_file(stdout.splitlines())
         assert parsed == builtin_cdc_timeline()
+
+    @pytest.mark.parametrize("command", ["timeline", "keywords"])
+    def test_without_print_builtin_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"{command}: nothing to do (use --print-builtin)\n")
 
     def test_keywords_print_builtin(self, capsys):
         assert main(["keywords", "--print-builtin"]) == EXIT_OK

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -584,6 +585,18 @@ def test_readme_lists_exactly_the_exit_codes_and_config_keys():
     # after a key names that key's values
     keys = _readme_section("Config file").split("Keys:", 1)[1].split(". ", 1)[0]
     assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys)) == list(CONFIG_KEYS)
+
+
+def test_pyproject_workflow_and_readme_name_the_same_python_floor():
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    # no YAML library is installed: read the matrix's quoted versions
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (matrix,) = re.findall(r"^\s*python-version: \[(.*)\]$", workflow, flags=re.M)
+    lowest = min(re.findall(r'"(3\.\d+)"', matrix), key=lambda v: tuple(map(int, v.split("."))))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert (project["requires-python"], lowest, re.findall(r"Requires Python (\S+)\+", readme)) \
+        == (">=3.11", "3.11", ["3.11"])
 
 
 def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):

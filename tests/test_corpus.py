@@ -500,30 +500,7 @@ def test_parse_timestamp_agrees_with_strptime(year, month, day, hour, minute, se
             parse_timestamp(raw)
     else:
         parsed = parse_timestamp(raw)
-        assert (parsed, parsed.tzinfo) == (expected, expected.tzinfo)
-
-
-# _utc_from_shaped reads the "Z" itself from Python 3.11 on, and only
-# Python 3.10 takes the "+00:00" form: checking the two against each other
-# here covers both on every Python.
-@settings(max_examples=1000, deadline=None)
-@given(year=st.one_of(_YEARS, st.just(9999)), month=st.integers(0, 13), day=st.integers(0, 32),
-       hour=st.integers(0, 25), minute=st.integers(0, 61), second=st.integers(0, 61))
-@example(year=0, month=1, day=1, hour=0, minute=0, second=0)
-@example(year=9999, month=12, day=31, hour=23, minute=59, second=59)
-@example(year=2016, month=2, day=29, hour=23, minute=59, second=59)
-@example(year=2015, month=2, day=29, hour=0, minute=0, second=0)
-@example(year=2015, month=9, day=4, hour=24, minute=0, second=0)
-def test_the_selected_timestamp_form_equals_the_offset_form(year, month, day, hour, minute,
-                                                            second):
-    raw = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
-    try:
-        expected = datetime.fromisoformat(raw[:-1] + "+00:00")
-    except ValueError:
-        assert corpus._utc_from_shaped(raw) is None
-    else:
-        parsed = corpus._utc_from_shaped(raw)
-        assert parsed == expected and parsed.tzinfo is expected.tzinfo is timezone.utc
+        assert parsed == expected and parsed.tzinfo is timezone.utc
 
 
 def test_corpus_iteration_matches_records():

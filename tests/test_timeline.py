@@ -369,6 +369,8 @@ INVALID_TIMELINE_FILES = {
     "mismatch": (("2015-09-04,announcement,,285,27,", "2015-09-09,announcement,50,341,30,"),
                  _INVALID + "arithmetic mismatch at 2015-09-09: 285 + 50 != 341 "
                             "(previous cumulative at 2015-09-04)\n"),
+    "five-cells": (("2015-09-04,announcement,,285,27",),
+                   "ERROR timeline failure: row 2: expected 6 columns\n"),
     "several": (("2015-09-09,announcement,,341,30,", "2015-09-04,announcement,10,300,31,",
                  "2015-09-04,recall,,,,"),
                 _INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"
@@ -432,6 +434,25 @@ class TestTimelineFiles:
                      "--output", str(out)]) == EXIT_TIMELINE
         assert capsys.readouterr().err == stderr
         assert not out.exists()
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        instants = [utc(2015, 8, 20) + timedelta(days=9 * i) for i in range(12)]
+        stream.write_text("".join(record(i, instant).output_line()
+                                  for i, instant in enumerate(instants)), encoding="utf-8")
+        rows = BUILTIN_CDC_TIMELINE_CSV.splitlines()
+        tables = []
+        for name, text in (("plain", "\n".join(rows) + "\n"),
+                           ("blank", "\n\n  \n".join(rows) + "\n\n")):
+            timeline = tmp_path / f"{name}.csv"
+            timeline.write_text(text, encoding="utf-8")
+            out = tmp_path / name
+            assert main(["report", "--input", str(stream), "--timeline", str(timeline),
+                         "--output", str(out), "--quiet"]) == EXIT_OK
+            tables.append([(out / n).read_bytes()
+                           for n in ("period_counts.csv", "daily_counts.csv")])
+        assert tables[0] == tables[1]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("row_no", [1, 3])
     def test_undecodable_byte_names_its_row(self, row_no):

@@ -139,3 +139,5 @@ def test_pipeline_config_is_a_frozen_hashable_value():
     assert config.replace(seed=7) == PipelineConfig(seed=7) and config == PipelineConfig()
     assert hash(config) == hash(PipelineConfig())
     assert len({config, PipelineConfig(), config.replace(seed=7)}) == 2
+    with pytest.raises(TypeError):
+        PipelineConfig(sead=7)
