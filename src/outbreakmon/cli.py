@@ -36,7 +36,6 @@ from .errors import (
 from .keywords import (
     DEFAULT_PHRASES,
     KeywordSet,
-    default_keywords,
     load_keywords,
     matches,
 )
@@ -52,7 +51,6 @@ from .svm import (
 from .timeline import (
     BUILTIN_CDC_TIMELINE_CSV,
     EventTimeline,
-    builtin_cdc_timeline,
     daily_frequency,
     day_counts,
     format_daily_counts,
@@ -172,11 +170,13 @@ COMMANDS = {
                   MANIFEST_NAME)),
 }
 
-# inspection subcommand -> (summary, what its --print-builtin writes); the
-# same names are the path keys that fall back to a built-in when unset
+# inspection subcommand -> (summary, what its --print-builtin writes, the
+# parser of its file); the same names are the path keys that fall back to a
+# built-in when unset, which is read from that text as a file would be
 BUILTINS = {
-    "timeline": ("inspect the builtin timeline", BUILTIN_CDC_TIMELINE_CSV),
-    "keywords": ("inspect the builtin keyword set", "\n".join(DEFAULT_PHRASES) + "\n"),
+    "timeline": ("inspect the builtin timeline", BUILTIN_CDC_TIMELINE_CSV, parse_timeline_file),
+    "keywords": ("inspect the builtin keyword set", "\n".join(DEFAULT_PHRASES) + "\n",
+                 load_keywords),
 }
 
 
@@ -244,19 +244,16 @@ def _refuse_to_replace(inputs, outputs) -> None:
                 raise ValueError(f"output {output} would replace input file {path}")
 
 
-def _load_keyword_set(path: Path | None):
+def _load_builtin_or_file(cfg: PipelineConfig, key: str):
+    """Parse the keyword or timeline file that ``cfg`` names under ``key``,
+    or, when it is unset, the text ``<key> --print-builtin`` writes, with the
+    same parser."""
+    _, text, parse = BUILTINS[key]
+    path = getattr(cfg, key)
     if path is None:
-        return default_keywords()
+        return parse(text.splitlines())
     with _open_records(path) as fh:
-        return load_keywords(fh)
-
-
-def _load_timeline(path: Path | None):
-    """Read a timeline file, or take the built-in one; both are validated."""
-    if path is None:
-        return builtin_cdc_timeline()
-    with _open_records(path) as fh:
-        return parse_timeline_file(fh)
+        return parse(fh)
 
 
 def config_hash(cfg: PipelineConfig) -> str:
@@ -381,9 +378,9 @@ def run_report(cfg: PipelineConfig, timeline: EventTimeline) -> dict:
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     # Load every small input before any stage writes.
-    keywords = _load_keyword_set(cfg.keywords)
+    keywords = _load_builtin_or_file(cfg, "keywords")
     model = load_model(cfg.model)
-    timeline = _load_timeline(cfg.timeline)
+    timeline = _load_builtin_or_file(cfg, "timeline")
     stages = {
         "filter": run_filter(cfg, keywords),
         "classify": run_classify(cfg.replace(input=cfg.output / FILTERED_NAME), model),
@@ -450,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, dest=key, type=flag_type(convert), help=help_text)
         p.add_argument("--quiet", action="store_true", default=None,
                        help="suppress informational messages")
-    for command, (summary, _) in BUILTINS.items():
+    for command, (summary, _, _) in BUILTINS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--print-builtin", action="store_true",
                        help=f"write the builtin {command} to standard output")
@@ -498,13 +495,13 @@ def main(argv: list[str] | None = None) -> int:
             outputs.append(paths.pop("model"))
         _refuse_to_replace([args.config, *paths.values()], outputs)
         if args.command == "filter":
-            run_filter(cfg, _load_keyword_set(cfg.keywords))
+            run_filter(cfg, _load_builtin_or_file(cfg, "keywords"))
         elif args.command == "train":
             run_train(cfg)
         elif args.command == "classify":
             run_classify(cfg, load_model(cfg.model))
         elif args.command == "report":
-            run_report(cfg, _load_timeline(cfg.timeline))
+            run_report(cfg, _load_builtin_or_file(cfg, "timeline"))
         else:
             run_pipeline(cfg)
     except OSError as exc:

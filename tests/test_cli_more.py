@@ -37,26 +37,11 @@ from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
 from synthdata import RELEVANT_TEMPLATES, labeled_lines, record_line, stream_lines
 
 
-def _child_env(**extra):
-    """The environment for a child Python that imports this checkout's package."""
-    src = str(Path(outbreakmon.__file__).resolve().parent.parent)
-    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def _one_record_file(tmp_path):
     path = tmp_path / "c.jsonl"
     line = record_line("a", datetime(2015, 9, 5, tzinfo=timezone.utc), "salmonella")
     path.write_text(line + "\n", encoding="utf-8")
     return path
-
-
-def test_explicit_inverted_daily_interval_exits_2(tmp_path, capsys):
-    classified = _one_record_file(tmp_path)
-    code = main(["report", "--input", str(classified), "--output", str(tmp_path / "o"),
-                 "--daily-start", "2015-10-01", "--daily-end", "2015-09-01", "--quiet"])
-    assert code == EXIT_IO
-    assert "inverted" in capsys.readouterr().err
 
 
 def test_daily_bound_beyond_data_yields_header_only(tmp_path):
@@ -68,39 +53,7 @@ def test_daily_bound_beyond_data_yields_header_only(tmp_path):
     assert (out / DAILY_CSV_NAME).read_text() == "date,count\n"
 
 
-def test_bad_keyword_file_exits_3(tmp_path, capsys):
-    stream = _one_record_file(tmp_path)
-    keywords = tmp_path / "kw.txt"
-    keywords.write_text("# only comments\n", encoding="utf-8")
-    code = main(["filter", "--input", str(stream), "--keywords", str(keywords),
-                 "--output", str(tmp_path / "o"), "--quiet"])
-    assert code == EXIT_PARSE
-    assert "no phrases" in capsys.readouterr().err
-
-
-def test_keyword_file_with_undecodable_byte_exits_3_with_its_line(tmp_path, capsys):
-    stream = _one_record_file(tmp_path)
-    keywords = tmp_path / "kw.txt"
-    keywords.write_bytes(b"salmonella\n\xffcucumbers\n")
-    code = main(["filter", "--input", str(stream), "--keywords", str(keywords),
-                 "--output", str(tmp_path / "o"), "--quiet"])
-    assert code == EXIT_PARSE
-    assert "line 2: invalid UTF-8" in capsys.readouterr().err
-
-
-def test_timeline_file_with_undecodable_byte_exits_6_with_its_row(tmp_path, capsys):
-    classified = _one_record_file(tmp_path)
-    timeline = tmp_path / "tl.csv"
-    timeline.write_bytes(b"date,kind,new_ill,cumulative_ill,states,note\n"
-                         b"2015-09-04,announcement,,285,27,\n"
-                         b"2015-09-09,announcement,56,341,30,bad \xff byte\n")
-    code = main(["report", "--input", str(classified), "--timeline", str(timeline),
-                 "--output", str(tmp_path / "o"), "--quiet"])
-    assert code == EXIT_TIMELINE
-    assert "row 3: invalid UTF-8" in capsys.readouterr().err
-
-
-def test_scoring_commands_never_import_numpy(tmp_path):
+def test_scoring_commands_never_import_numpy(tmp_path, child_env):
     # numpy is a test dependency only: every command must run in a process
     # where importing it fails.
     labeled = tmp_path / "labeled.jsonl"
@@ -123,7 +76,7 @@ def test_scoring_commands_never_import_numpy(tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", script, str(labeled), str(model),
                              str(stream), str(tmp_path / "o")],
-                            env=_child_env(), capture_output=True, text=True, timeout=120)
+                            env=child_env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "o" / "pipeline" / "manifest.json").is_file()
     # the file holds exactly the model the in-process trainer produces
@@ -134,7 +87,7 @@ def test_scoring_commands_never_import_numpy(tmp_path):
     assert all(type(w) is float for w in loaded.weights)
 
 
-def test_runs_under_two_hash_seeds_write_the_same_bytes(tmp_path):
+def test_runs_under_two_hash_seeds_write_the_same_bytes(tmp_path, child_env):
     # The iteration order of a set or dict of strings depends on the hash
     # seed, so a rerun in a new process is byte-identical only if no output
     # depends on that order.
@@ -146,7 +99,7 @@ def test_runs_under_two_hash_seeds_write_the_same_bytes(tmp_path):
     script = "import sys\nfrom outbreakmon.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     runs = []
     for seed in ("1", "2"):
-        env = _child_env(PYTHONHASHSEED=seed)
+        env = dict(child_env, PYTHONHASHSEED=seed)
         out = tmp_path / f"seed{seed}"
         stdout = []
         for argv in (["train", "--labeled", str(labeled), "--model", str(model)],
@@ -217,24 +170,6 @@ def test_invalid_unicode_line_is_rejected_in_lenient_mode(tmp_path, capsys, kind
     assert len(rejections) == 1 and "line 2" in rejections[0]
 
 
-@pytest.mark.parametrize("kind", sorted(BAD_UNICODE_LINES))
-def test_invalid_unicode_line_fails_strict_mode_with_its_line(tmp_path, capsys, kind):
-    stream = _lines_file(tmp_path / "s.jsonl",
-                         _good_line("a"), BAD_UNICODE_LINES[kind], _good_line("c"))
-    out = tmp_path / "o"
-    code = main(["filter", "--input", str(stream), "--output", str(out), "--strict"])
-    assert code == EXIT_PARSE
-    assert "line 2" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_invalid_utf8_in_labeled_file_exits_3(tmp_path):
-    labeled = _lines_file(tmp_path / "l.jsonl", BAD_UNICODE_LINES["undecodable-byte"])
-    code = main(["train", "--labeled", str(labeled), "--model", str(tmp_path / "m.json"),
-                 "--quiet"])
-    assert code == EXIT_PARSE
-
-
 # Nested past the recursion limit, where json.loads raises RecursionError.
 NESTED_TOO_DEEP = b'{"x":' + b"[" * 100_000
 
@@ -247,31 +182,6 @@ def test_line_nested_too_deep_is_rejected_in_lenient_mode(tmp_path, capsys):
     rejections = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("WARNING rejected")]
     assert rejections == ["WARNING rejected line 2: invalid JSON (nested too deeply)"]
-
-
-def test_line_nested_too_deep_fails_strict_mode_with_its_line(tmp_path, capsys):
-    stream = _lines_file(tmp_path / "s.jsonl", _good_line("a"), NESTED_TOO_DEEP)
-    out = tmp_path / "o"
-    assert main(["filter", "--input", str(stream), "--output", str(out), "--strict"]) \
-        == EXIT_PARSE
-    assert "line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_labeled_line_nested_too_deep_exits_3(tmp_path, capsys):
-    labeled = _lines_file(tmp_path / "l.jsonl", NESTED_TOO_DEEP)
-    assert main(["train", "--labeled", str(labeled), "--model", str(tmp_path / "m.json"),
-                 "--quiet"]) == EXIT_PARSE
-    assert "line 1: invalid JSON (nested too deeply)" in capsys.readouterr().err
-
-
-def test_model_file_nested_too_deep_exits_5(tmp_path, capsys):
-    model = _lines_file(tmp_path / "m.json", NESTED_TOO_DEEP)
-    out = tmp_path / "o"
-    assert main(["classify", "--input", str(_one_record_file(tmp_path)), "--model", str(model),
-                 "--output", str(out), "--quiet"]) == EXIT_MODEL
-    assert "corrupt model file: nested too deeply" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def _raise_oserror(*args, **kwargs):
@@ -352,16 +262,6 @@ def test_config_hash_is_pinned():
         == "917e1296dd6993c69a72bf1fb001bad44a432792a787373d9b8a738c4a3a57ca"
 
 
-def _train(tmp_path):
-    labeled = tmp_path / "labeled.jsonl"
-    labeled.write_text("".join(line + "\n" for line in labeled_lines(20, 20)),
-                       encoding="utf-8")
-    model = tmp_path / "model.json"
-    assert main(["train", "--labeled", str(labeled), "--model", str(model),
-                 "--quiet"]) == EXIT_OK
-    return model
-
-
 # case -> (arguments whose output replaces the input o/<name>, <name>, the
 # exit code of the same arguments into an empty directory). The last three
 # cases also name the file "bad", which cannot load: the refusal comes first.
@@ -385,9 +285,8 @@ REPLACING_RUNS = {
 
 @pytest.mark.parametrize("case", sorted(REPLACING_RUNS))
 def test_output_that_is_an_input_file_exits_2_before_any_write(tmp_path, monkeypatch,
-                                                                capsys, case):
+                                                                capsys, model_file, case):
     monkeypatch.chdir(tmp_path)
-    _train(tmp_path)
     (tmp_path / "bad").write_bytes(b"\xff\n")
     argv, name, elsewhere = REPLACING_RUNS[case]
     out = tmp_path / "o"
@@ -413,9 +312,8 @@ FILE_FLAGS = {"input": ["--input", "stream.jsonl"], "labeled": ["--labeled", "la
 @pytest.mark.parametrize("command, key", [(command, key) for command, keys
                                           in REQUIRED_FILES.items() for key in keys])
 def test_an_unset_required_file_exits_2_before_the_output_directory_is_made(
-        tmp_path, monkeypatch, capsys, command, key):
+        tmp_path, monkeypatch, capsys, model_file, command, key):
     monkeypatch.chdir(tmp_path)
-    _train(tmp_path)
     (tmp_path / "stream.jsonl").write_text(
         "".join(line + "\n" for line in stream_lines(20)), encoding="utf-8")
     # train writes its model, so there it goes under the output directory
@@ -431,13 +329,12 @@ def test_an_unset_required_file_exits_2_before_the_output_directory_is_made(
 
 @pytest.mark.parametrize("command", ["filter", "classify", "report", "pipeline"])
 def test_a_run_into_an_empty_directory_writes_exactly_its_listed_files(tmp_path, monkeypatch,
-                                                                       command):
+                                                                       model_file, command):
     # the refusal to replace an input checks only the files COMMANDS lists
     monkeypatch.chdir(tmp_path)
-    model = _train(tmp_path)
     stream = tmp_path / "stream.jsonl"
     stream.write_text("".join(line + "\n" for line in stream_lines(200)), encoding="utf-8")
-    model_flags = ["--model", str(model)] if command in ("classify", "pipeline") else []
+    model_flags = ["--model", str(model_file)] if command in ("classify", "pipeline") else []
     out = tmp_path / "o"
     out.mkdir()
     assert main([command, "--input", str(stream), *model_flags, "--output", str(out),
@@ -457,9 +354,8 @@ CONFIG_REPLACING_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(CONFIG_REPLACING_RUNS))
 def test_output_that_is_the_config_file_exits_2_before_any_write(tmp_path, monkeypatch,
-                                                                 capsys, command):
+                                                                 capsys, model_file, command):
     monkeypatch.chdir(tmp_path)
-    _train(tmp_path)
     name, settings, extra = CONFIG_REPLACING_RUNS[command]
     out = tmp_path / "o"
     out.mkdir()
@@ -471,11 +367,11 @@ def test_output_that_is_the_config_file_exits_2_before_any_write(tmp_path, monke
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_record_on_the_last_representable_day_is_reported(tmp_path):
+def test_record_on_the_last_representable_day_is_reported(tmp_path, trained_model):
     stream = tmp_path / "s.jsonl"
     stream.write_text(record_line("a", datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
                                   RELEVANT_TEMPLATES[0]) + "\n", encoding="utf-8")
-    for command, extra in (("report", []), ("pipeline", ["--model", str(_train(tmp_path))])):
+    for command, extra in (("report", []), ("pipeline", ["--model", str(trained_model)])):
         out = tmp_path / command
         assert main([command, "--input", str(stream), "--output", str(out), "--quiet",
                      *extra]) == EXIT_OK
@@ -524,13 +420,14 @@ def test_timeline_takes_only_yyyy_mm_dd_dates_and_ascii_digit_counts(
 
 
 @pytest.mark.parametrize("command", ["report", "pipeline"])
-def test_timeline_cell_over_the_csv_field_limit_exits_6_with_its_row(tmp_path, capsys, command):
+def test_timeline_cell_over_the_csv_field_limit_exits_6_with_its_row(tmp_path, capsys,
+                                                                      trained_model, command):
     timeline = tmp_path / "tl.csv"
     timeline.write_text("date,kind,new_ill,cumulative_ill,states,note\n"
                         "2015-09-04,announcement,,285,27,\n"
                         f"2015-09-09,announcement,56,341,30,{'x' * 131_073}\n",
                         encoding="utf-8")
-    model = ["--model", str(_train(tmp_path))] if command == "pipeline" else []
+    model = ["--model", str(trained_model)] if command == "pipeline" else []
     out = tmp_path / "o"
     assert main([command, "--input", str(_one_record_file(tmp_path)), *model,
                  "--timeline", str(timeline), "--output", str(out), "--quiet"]) == EXIT_TIMELINE
@@ -599,19 +496,6 @@ def test_pyproject_workflow_and_readme_name_the_same_python_floor():
         == (">=3.11", "3.11", ["3.11"])
 
 
-def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
-    records = _one_record_file(tmp_path)
-    config = tmp_path / "run.conf"
-    config.write_text(f"input = {records}\n# the same key again\ninput = {records}\n",
-                      encoding="utf-8")
-    out = tmp_path / "o"
-    assert main(["filter", "--config", str(config), "--output", str(out),
-                 "--quiet"]) == EXIT_IO
-    assert f"bad arguments: {config}:3: input already set on line 1" \
-        in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", [["timeline", "--print-builtin"],
@@ -622,11 +506,9 @@ def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
                                      ["--version"]],
                          ids=["timeline", "keywords", "report", "help", "pipeline-help",
                               "version"])
-def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, command, unbuffered, sink):
-    env = _child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+def test_failed_stdout_write_exits_2_with_one_error_line(tmp_path, child_env, command,
+                                                         unbuffered, sink):
+    env = dict(child_env, PYTHONUNBUFFERED="1") if unbuffered else child_env
     if sink == "/dev/full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
@@ -662,11 +544,3 @@ def test_an_empty_path_is_refused_naming_its_setting(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         f"ERROR bad arguments: run.conf:2: bad value for {key}: empty path\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "run.conf"]
-
-
-def test_an_empty_config_path_is_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["filter", "--config", "", "--quiet"])
-    assert excinfo.value.code == EXIT_IO
-    assert "argument --config: empty path\n" in capsys.readouterr().err

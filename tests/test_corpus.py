@@ -44,26 +44,6 @@ class TestParseTweetLine:
         assert record.timestamp == datetime(2015, 9, 4, 12, 0, 0, tzinfo=timezone.utc)
         assert record.text == "salmonella cucumber recall"
 
-    def test_blank_text_rejected(self):
-        with pytest.raises(ParseError, match="empty text"):
-            parse_tweet_line(make_line(text="   "))
-
-    def test_us_style_date_rejected(self):
-        with pytest.raises(ParseError, match="timestamp"):
-            parse_tweet_line(make_line(timestamp="09/04/2015"))
-
-    def test_missing_field(self):
-        with pytest.raises(ParseError, match="missing field 'text'"):
-            parse_tweet_line('{"id":"a","timestamp":"2015-09-04T12:00:00Z"}')
-
-    def test_invalid_json_carries_line_number(self):
-        with pytest.raises(ParseError, match="line 7"):
-            parse_tweet_line("{not json", line_no=7)
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(ParseError, match="empty id"):
-            parse_tweet_line(make_line(record_id="  "))
-
     # ideographic space, the information separator U+001C and NEL: Unicode
     # whitespace that str.strip() removes
     @pytest.mark.parametrize("blank", ["\u3000", "\x1c", "\x85", " \u3000\x1c\x85\t"])
@@ -93,10 +73,6 @@ class TestParseTweetLine:
         with pytest.raises(ParseError) as excinfo:
             parse_tweet_line(make_line(timestamp="2015-09-04 12:00:00"), line_no=4)
         assert str(excinfo.value) == expected
-
-    def test_offset_timestamp_rejected(self):
-        with pytest.raises(ParseError):
-            parse_tweet_line(make_line(timestamp="2015-09-04T12:00:00+00:00"))
 
     def test_unknown_field_ok_lenient_rejected_strict(self):
         line = make_line(retweets=3)
@@ -204,11 +180,22 @@ def test_parse_tweet_line_equals_the_full_json_parse(record_id, timestamp, text,
                                                             strict=strict))
 
 
+_NOT_THE_SHAPE = "is not in YYYY-MM-DDTHH:MM:SSZ form (expected e.g. 2015-09-04T12:00:00Z)"
+
+
 @pytest.mark.parametrize("line, reason", [
+    (make_line(text="   "), "empty text"),
+    (make_line(record_id="  "), "empty id"),
+    ('{"id":"a","timestamp":"2015-09-04T12:00:00Z"}', "missing field 'text'"),
+    ("{not json", "invalid JSON (Expecting property name enclosed in double quotes at column 2)"),
+    (make_line(timestamp="09/04/2015"), f"timestamp '09/04/2015' {_NOT_THE_SHAPE}"),
+    (make_line(timestamp="2015-09-04T12:00:00+00:00"),
+     f"timestamp '2015-09-04T12:00:00+00:00' {_NOT_THE_SHAPE}"),
     (_compact({"id": "", "timestamp": "2015-02-30T12:00:00Z", "text": "x"}), "empty id"),
     (json.dumps({"id": "a\ud83d", "timestamp": "2015-09-04T12:00:00Z", "text": ""}),
      "empty text"),
-], ids=["empty-id-before-impossible-date", "empty-text-before-lone-surrogate"])
+], ids=["blank-text", "blank-id", "missing-field", "invalid-json", "us-style-date",
+        "offset-timestamp", "empty-id-before-impossible-date", "empty-text-before-lone-surrogate"])
 def test_the_first_failed_check_names_the_fault(line, reason):
     with pytest.raises(ParseError) as excinfo:
         parse_tweet_line(line, line_no=7)
@@ -385,30 +372,20 @@ class TestLoadLabeledSet:
         assert len(examples) == 200
         assert class_counts(examples) == (100, 100)
 
-    def test_label_zero_rejected(self):
-        with pytest.raises(ParseError, match="label"):
-            load_labeled_set([make_line(label=0)])
-
-    def test_label_string_rejected(self):
-        with pytest.raises(ParseError, match="label"):
-            load_labeled_set([make_line(label="1")])
-
-    def test_label_bool_rejected(self):
-        with pytest.raises(ParseError, match="label"):
-            load_labeled_set([make_line(label=True)])
-
-    def test_missing_label_rejected(self):
-        with pytest.raises(ParseError, match="label"):
-            load_labeled_set([make_line()])
-
-    def test_empty_input_is_training_data_error(self):
-        with pytest.raises(TrainingDataError):
-            load_labeled_set([])
-
-    def test_malformed_line_aborts(self):
-        lines = [make_line(record_id="a", label=1), "junk"]
-        with pytest.raises(ParseError, match="line 2"):
+    @pytest.mark.parametrize("lines, error, message", [
+        ([make_line(label=0)], ParseError, "line 1: label must be -1 or 1, got 0"),
+        ([make_line(label="1")], ParseError, "line 1: label must be the integer -1 or 1, got '1'"),
+        ([make_line(label=True)], ParseError,
+         "line 1: label must be the integer -1 or 1, got True"),
+        ([make_line()], ParseError, "line 1: missing field 'label'"),
+        ([], TrainingDataError, "labeled set is empty"),
+        ([make_line(record_id="a", label=1), "junk"], ParseError,
+         "line 2: invalid JSON (Expecting value at column 1)"),
+    ], ids=["label-zero", "label-string", "label-bool", "label-missing", "empty", "malformed-line"])
+    def test_rejected(self, lines, error, message):
+        with pytest.raises(error) as excinfo:
             load_labeled_set(lines)
+        assert str(excinfo.value) == message
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,25 +5,16 @@ Each diagnostic is one ``INFO|WARNING|ERROR message`` line. A failed write
 of one is dropped and never changes the exit code.
 """
 import os
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 
 import pytest
 
-import outbreakmon
-from outbreakmon.cli import COMMANDS, EXIT_IO, EXIT_OK, main
+from outbreakmon.cli import COMMANDS, EXIT_IO, EXIT_OK
 
-from synthdata import (
-    DECOY_TEMPLATES,
-    NOISE_TEMPLATES,
-    RELEVANT_TEMPLATES,
-    labeled_lines,
-    record_line,
-)
-
-SRC = str(Path(outbreakmon.__file__).resolve().parent.parent)
+from synthdata import DECOY_TEMPLATES, NOISE_TEMPLATES, RELEVANT_TEMPLATES, record_line
 
 
 def _good(record_id, day, text):
@@ -78,57 +69,43 @@ INFOS = [
 ]
 
 
-def _env(unbuffered=False):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
-
-
-def _cli(args, cwd, stderr=subprocess.PIPE, unbuffered=False):
-    return subprocess.run([sys.executable, "-m", "outbreakmon.cli", *args], cwd=cwd,
-                          env=_env(unbuffered), stdout=subprocess.PIPE, stderr=stderr,
-                          timeout=120)
+def _cli(args, cwd, env, stderr=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "outbreakmon.cli", *args], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=stderr, timeout=120)
 
 
 @pytest.fixture(scope="module")
-def work(tmp_path_factory):
-    """A directory holding a trained model and the mixed input."""
+def work(tmp_path_factory, trained_model):
+    """A directory holding a copy of the trained model and the mixed input."""
     work = tmp_path_factory.mktemp("diagnostics")
-    labeled = work / "labeled.jsonl"
-    labeled.write_text("".join(line + "\n" for line in labeled_lines(30, 30)),
-                       encoding="utf-8")
-    assert main(["train", "--labeled", str(labeled), "--model", str(work / "model.json"),
-                 "--quiet"]) == EXIT_OK
+    shutil.copyfile(trained_model, work / "model.json")
     (work / "mixed.jsonl").write_bytes(b"".join(line + b"\n" for line in MIXED_LINES))
     return work
 
 
-def _pipeline(work, out, *flags, **run):
+def _pipeline(work, out, env, *flags, **run):
     return _cli(["pipeline", "--input", str(work / "mixed.jsonl"),
                  "--model", str(work / "model.json"), "--output", str(out), *flags],
-                work, **run)
+                work, env, **run)
 
 
 @pytest.mark.parametrize("flags, expected", [([], WARNINGS + INFOS),
                                              (["--quiet"], WARNINGS)],
                          ids=["default", "quiet"])
-def test_pipeline_writes_exactly_these_diagnostics(work, tmp_path, flags, expected):
+def test_pipeline_writes_exactly_these_diagnostics(work, tmp_path, child_env, flags, expected):
     out = tmp_path / "out"
-    result = _pipeline(work, out, *flags)
+    result = _pipeline(work, out, child_env, *flags)
     assert result.returncode == EXIT_OK
     stderr = result.stderr.decode("utf-8").replace(str(out), "OUT")
     assert stderr == "".join(line + "\n" for line in expected)
 
 
 @pytest.mark.parametrize("module", ["logging", "dataclasses", "inspect"])
-def test_importing_the_cli_does_not_import(module):
+def test_importing_the_cli_does_not_import(child_env, module):
     result = subprocess.run(
         [sys.executable, "-c",
          f"import sys, outbreakmon.cli; sys.exit({module!r} in sys.modules)"],
-        env=_env(), capture_output=True, text=True, timeout=60)
+        env=child_env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
 
 
@@ -138,7 +115,7 @@ def test_importing_the_cli_does_not_import(module):
                                                  ("missing input", EXIT_IO),
                                                  ("usage error", EXIT_IO)],
                          ids=["pipeline", "missing-input", "usage-error"])
-def test_failed_stderr_write_keeps_the_exit_code(work, tmp_path, case, expected_code,
+def test_failed_stderr_write_keeps_the_exit_code(work, tmp_path, child_env, case, expected_code,
                                                  unbuffered, sink):
     if sink == "/dev/full":
         if not os.path.exists("/dev/full"):
@@ -148,14 +125,15 @@ def test_failed_stderr_write_keeps_the_exit_code(work, tmp_path, case, expected_
         read_end, stderr = os.pipe()
         os.close(read_end)
     out = tmp_path / "out"
+    env = dict(child_env, PYTHONUNBUFFERED="1") if unbuffered else child_env
     try:
         if case == "lenient pipeline":
-            result = _pipeline(work, out, stderr=stderr, unbuffered=unbuffered)
+            result = _pipeline(work, out, env, stderr=stderr)
         elif case == "missing input":
             result = _cli(["filter", "--input", str(tmp_path / "absent.jsonl"),
-                           "--output", str(out)], work, stderr=stderr, unbuffered=unbuffered)
+                           "--output", str(out)], work, env, stderr=stderr)
         else:
-            result = _cli(["no-such-command"], work, stderr=stderr, unbuffered=unbuffered)
+            result = _cli(["no-such-command"], work, env, stderr=stderr)
     finally:
         os.close(stderr)
     assert result.returncode == expected_code

@@ -1,0 +1,196 @@
+"""The README's exit-code table: one row per fault, one driver.
+
+A row holds the files to write into an empty directory (bytes, or a function
+of the shared trained model's bytes), the arguments with ``{tmp}`` for that
+directory, the exit code and the whole of standard error. The driver runs
+``cli.main`` and also asserts that the run wrote nothing: no standard output,
+and no output directory, model or temporary file beside the row's files.
+"""
+import json
+
+import pytest
+
+from outbreakmon.cli import EXIT_IO, EXIT_MODEL, EXIT_PARSE, EXIT_TIMELINE, EXIT_TRAINING_DATA, main
+
+from synthdata import labeled_lines
+
+
+def _file(*lines):
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+def _model_with(*path, edit):
+    """The model file's bytes -> the model with ``edit`` applied to its value
+    at ``path``, and an infinite number written as 1e999, past the float range."""
+    def edited(model):
+        root = {"": json.loads(model)}
+        *parents, last = ("", *path)
+        node = root
+        for key in parents:
+            node = node[key]
+        node[last] = edit(node[last])
+        return json.dumps(root[""]).replace("Infinity", "1e999").encode("utf-8")
+    return edited
+
+
+RECORD = b'{"id":"a","timestamp":"2015-09-05T00:00:00Z","text":"salmonella"}\n'
+STREAM = {"s.jsonl": RECORD}
+UNDECODABLE = b'{"id":"b","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \xff"}\n'
+LONE_SURROGATE = b'{"id":"b","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \\ud83d"}\n'
+# nested past the recursion limit, where json.loads raises RecursionError
+NESTED_TOO_DEEP = b'{"x":' + b"[" * 100_000 + b"\n"
+LABELED = _file(*labeled_lines(2, 2))
+TIMELINE = b"date,kind,new_ill,cumulative_ill,states,note\n"
+
+FILTER = "filter --input {tmp}/s.jsonl --output {tmp}/o"
+TRAIN = "train --labeled {tmp}/l.jsonl --model {tmp}/m.json"
+CLASSIFY = "classify --input {tmp}/s.jsonl --model {tmp}/m.json --output {tmp}/o"
+REPORT = "report --input {tmp}/s.jsonl --output {tmp}/o"
+
+BAD_ARGUMENTS = "ERROR bad arguments: "
+PARSE_FAILURE = "ERROR parse failure: "
+INVALID = "invalid timeline:\n  "
+
+
+def _config(command, text, message):
+    return ({"c.conf": text}, command + " --config {tmp}/c.conf --output {tmp}/o", EXIT_IO,
+            BAD_ARGUMENTS + "{tmp}/c.conf:" + message + "\n")
+
+
+def _strict(line, reason):
+    return ({"s.jsonl": RECORD + line}, FILTER + " --strict", EXIT_PARSE,
+            f"{PARSE_FAILURE}line 2: {reason}\n")
+
+
+def _classify(model, message):
+    return {**STREAM, "m.json": model}, CLASSIFY, EXIT_MODEL, f"ERROR model failure: {message}\n"
+
+
+def _report(timeline, message):
+    return ({**STREAM, "t.csv": timeline}, REPORT + " --timeline {tmp}/t.csv", EXIT_TIMELINE,
+            f"ERROR timeline failure: {message}\n")
+
+
+# row id -> (files, arguments, exit code, standard error)
+ROWS = {
+    # 2: I/O failure or unusable arguments or config
+    "missing-input": ({}, "filter --input {tmp}/nope.jsonl --output {tmp}/o", EXIT_IO,
+                      "ERROR [Errno 2] No such file or directory: '{tmp}/nope.jsonl'\n"),
+    "pipeline-missing-model": (
+        STREAM, "pipeline --input {tmp}/s.jsonl --model {tmp}/absent.json --output {tmp}/o",
+        EXIT_IO, "ERROR [Errno 2] No such file or directory: '{tmp}/absent.json'\n"),
+    "c-param-negative": ({"l.jsonl": LABELED}, TRAIN + " --c-param -3", EXIT_IO,
+                         BAD_ARGUMENTS + "C must be positive and finite, got -3.0\n"),
+    "c-param-infinite": ({"l.jsonl": LABELED}, TRAIN + " --c-param inf", EXIT_IO,
+                         BAD_ARGUMENTS + "C must be positive and finite, got inf\n"),
+    "seed-negative": ({"l.jsonl": LABELED}, TRAIN + " --seed -1", EXIT_IO,
+                      BAD_ARGUMENTS + "seed must be non-negative, got -1\n"),
+    "inverted-daily-interval": (
+        STREAM, REPORT + " --daily-start 2015-10-01 --daily-end 2015-09-01", EXIT_IO,
+        BAD_ARGUMENTS + "inverted daily interval: 2015-10-01..2015-09-01\n"),
+    "config-unknown-key": _config("filter", b"inptu = x.jsonl\n", "1: unknown config key 'inptu'"),
+    "config-undecodable-byte": _config(
+        "report", b"# settings\nfinal_cutoff = 2016-03-31 \xff\n", "2: invalid UTF-8"),
+    "config-line-without-equals": _config(
+        "report", b"# settings\nfinal_cutoff 2016-03-31\n", "2: expected key = value"),
+    "config-bad-strictness": _config(
+        "report", b"# settings\nstrictness = strickt\n",
+        "2: bad value for strictness: must be strict or lenient, got 'strickt'"),
+    "config-key-set-twice": _config("filter", b"input = a.jsonl\n# the same key again\ninput = b\n",
+                                    "3: input already set on line 1"),
+    "config-path-empty": ({}, "filter --config= --output {tmp}/o", EXIT_IO,
+                          "usage: outbreakmon filter [-h] [--config CONFIG] [--output OUTPUT]\n"
+                          "                          [--input INPUT] [--keywords KEYWORDS]"
+                          " [--strict]\n                          [--quiet]\n"
+                          "outbreakmon filter: error: argument --config: empty path\n"),
+    # 3: parse failure
+    "strict-malformed-line": _strict(b"{broken\n", "invalid JSON (Expecting property name "
+                                                    "enclosed in double quotes at column 2)"),
+    "strict-undecodable-byte": _strict(UNDECODABLE, "invalid UTF-8"),
+    "strict-escaped-lone-surrogate": _strict(LONE_SURROGATE, "field 'text' holds a lone surrogate"),
+    "strict-nested-too-deep": _strict(NESTED_TOO_DEEP, "invalid JSON (nested too deeply)"),
+    "keywords-only-comments": ({**STREAM, "k.txt": b"# only comments\n"},
+                               FILTER + " --keywords {tmp}/k.txt", EXIT_PARSE,
+                               PARSE_FAILURE + "keyword file contains no phrases\n"),
+    "keywords-undecodable-byte": ({**STREAM, "k.txt": b"salmonella\n\xffcucumbers\n"},
+                                  FILTER + " --keywords {tmp}/k.txt", EXIT_PARSE,
+                                  PARSE_FAILURE + "line 2: invalid UTF-8\n"),
+    "label-two": ({"l.jsonl": LABELED.replace(b'"label":1', b'"label":2')}, TRAIN, EXIT_PARSE,
+                  PARSE_FAILURE + "line 1: label must be -1 or 1, got 2\n"),
+    "labeled-repeated-id": ({"l.jsonl": LABELED + _file(labeled_lines(2, 2)[1])}, TRAIN,
+                            EXIT_PARSE, PARSE_FAILURE + "line 5: duplicate id 'pos1'\n"),
+    "labeled-undecodable-byte": ({"l.jsonl": UNDECODABLE}, TRAIN, EXIT_PARSE,
+                                 PARSE_FAILURE + "line 1: invalid UTF-8\n"),
+    "labeled-nested-too-deep": ({"l.jsonl": NESTED_TOO_DEEP}, TRAIN, EXIT_PARSE,
+                                PARSE_FAILURE + "line 1: invalid JSON (nested too deeply)\n"),
+    # 4: training data unusable
+    "single-class": ({"l.jsonl": _file(*labeled_lines(10, 0))}, TRAIN, EXIT_TRAINING_DATA,
+                     "ERROR training data unusable: training data contains a single class\n"),
+    # 5: model file corrupt, wrong version or inconsistent
+    "model-not-json": _classify(b"not a model", "corrupt model file: Expecting value"),
+    "model-undecodable-byte": _classify(lambda model: b"\xff" + model,
+                                        "model file is not valid UTF-8 (byte 0)"),
+    "model-nested-too-deep": _classify(NESTED_TOO_DEEP, "corrupt model file: nested too deeply"),
+    "model-weight-past-float-range": _classify(_model_with("weights", 0, edit=lambda _: 1e999),
+                                               "weight is outside the float range"),
+    "model-non-positive-c": _classify(_model_with("training_meta", "C", edit=lambda _: -1.0),
+                                      "training_meta.C must be positive, got -1.0"),
+    "model-missing-bias": _classify(
+        _model_with(edit=lambda payload: {key: payload[key] for key in payload if key != "bias"}),
+        "model file is missing or mistypes a field: 'bias'"),
+    "model-terms-object": _classify(_model_with("vocabulary", "terms", edit=dict),
+                                    "vocabulary terms must be a list"),
+    "model-one-element-row": _classify(_model_with("vocabulary", "terms", 0, edit=lambda r: r[:1]),
+                                       "malformed vocabulary row ['salmonella']"),
+    # the second vocabulary row takes the first row's term
+    "model-repeated-term": _classify(
+        _model_with("vocabulary", "terms", 1, edit=lambda row: ["salmonella", row[1]]),
+        "duplicate vocabulary term 'salmonella'"),
+    "model-weights-object": _classify(_model_with("weights", edit=lambda w: {"0": w[0]}),
+                                      "weights must be a list of numbers"),
+    # 6: timeline malformed or failed validation
+    "timeline-undecodable-byte": _report(
+        TIMELINE + b"2015-09-04,announcement,,285,27,\n2015-09-09,announcement,56,341,30,\xff\n",
+        "row 3: invalid UTF-8"),
+    "timeline-five-cells": _report(TIMELINE + b"2015-09-04,announcement,,285,27\n",
+                                   "row 2: expected 6 columns"),
+    "timeline-no-events": _report(TIMELINE, INVALID + "timeline has no events"),
+    "timeline-no-announcement": _report(TIMELINE + b"2015-07-03,illness_onset,,,,\n",
+                                        INVALID + "timeline has no announcement events"),
+    "timeline-out-of-order": _report(
+        TIMELINE + b"2015-09-09,recall,,,,\n2015-09-04,announcement,,285,27,\n",
+        INVALID + "events out of order: 2015-09-04 after 2015-09-09"),
+    "timeline-same-day": _report(
+        TIMELINE + b"2015-09-04,announcement,,285,27,\n2015-09-04,announcement,56,341,30,\n",
+        INVALID + "announcement dates must strictly increase: 2015-09-04 then 2015-09-04"),
+    "timeline-decrease": _report(
+        TIMELINE + b"2015-09-04,announcement,,341,27,\n2015-09-09,announcement,,300,30,\n",
+        INVALID + "cumulative illnesses decrease from 341 to 300 at 2015-09-09"),
+    "timeline-mismatch": _report(
+        TIMELINE + b"2015-09-04,announcement,,285,27,\n2015-09-09,announcement,50,341,30,\n",
+        INVALID + "arithmetic mismatch at 2015-09-09: 285 + 50 != 341 "
+                  "(previous cumulative at 2015-09-04)"),
+    "timeline-several": _report(
+        TIMELINE + b"2015-09-09,announcement,,341,30,\n2015-09-04,announcement,10,300,31,\n"
+                   b"2015-09-04,recall,,,,\n",
+        INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"
+        "  announcement dates must strictly increase: 2015-09-09 then 2015-09-04\n"
+        "  cumulative illnesses decrease from 341 to 300 at 2015-09-04\n"
+        "  arithmetic mismatch at 2015-09-04: 341 + 10 != 300 (previous cumulative at 2015-09-09)"),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, stderr", ROWS.values(), ids=ROWS.keys())
+def test_exit_code_and_whole_stderr(tmp_path, trained_model, capsys, monkeypatch, files, argv,
+                                    code, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its usage text to
+    model = trained_model.read_bytes()
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content(model) if callable(content) else content)
+    try:
+        exit_code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv.split()])
+    except SystemExit as exc:  # argparse refuses an argument before main's handlers
+        exit_code = exc.code
+    out, err = capsys.readouterr()
+    assert (exit_code, out, err.replace(str(tmp_path), "{tmp}")) == (code, "", stderr)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)

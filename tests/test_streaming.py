@@ -24,7 +24,7 @@ from outbreakmon import cli
 from outbreakmon.cli import EXIT_OK, FILTERED_NAME, MANIFEST_NAME, RELEVANT_NAME, main
 from outbreakmon.corpus import format_timestamp
 
-from synthdata import DECOY_TEMPLATES, NOISE_TEMPLATES, RELEVANT_TEMPLATES, labeled_lines
+from synthdata import DECOY_TEMPLATES, NOISE_TEMPLATES, RELEVANT_TEMPLATES
 
 _BASE = datetime(2015, 8, 20, tzinfo=timezone.utc)
 # texts the filter keeps or drops and the model scores either way, plus
@@ -75,17 +75,6 @@ def _streams(draw):
     return b"".join(line + end for line, end in zip(lines, ends))
 
 
-@pytest.fixture(scope="module")
-def model_file(tmp_path_factory):
-    work = tmp_path_factory.mktemp("model")
-    labeled = work / "labeled.jsonl"
-    labeled.write_text("".join(line + "\n" for line in labeled_lines(40, 40)), encoding="utf-8")
-    model = work / "model.json"
-    assert main(["train", "--labeled", str(labeled), "--model", str(model), "--quiet"]) \
-        == EXIT_OK
-    return model
-
-
 def _run(argv, out):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -107,13 +96,13 @@ def _materialized_run(argv, out):
 @settings(max_examples=200, deadline=None)
 @given(stream=_streams(), strict=st.booleans(), previous=st.booleans(),
        cutoff=st.sampled_from([[], ["--final-cutoff", "2015-10-01"]]))
-def test_streaming_pipeline_equals_the_materializing_stages(model_file, stream, strict,
+def test_streaming_pipeline_equals_the_materializing_stages(trained_model, stream, strict,
                                                             previous, cutoff):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         source = work / "stream.jsonl"
         source.write_bytes(stream)
-        argv = ["pipeline", "--input", str(source), "--model", str(model_file), *cutoff]
+        argv = ["pipeline", "--input", str(source), "--model", str(trained_model), *cutoff]
         if strict:
             argv.append("--strict")
         results = []
@@ -150,16 +139,16 @@ def _chained_run(source, model, flags, cutoff, out):
 @settings(max_examples=100, deadline=None)
 @given(stream=_streams(), strict=st.booleans(),
        cutoff=st.sampled_from([[], ["--final-cutoff", "2015-10-01"]]))
-def test_pipeline_equals_its_three_commands_chained(model_file, stream, strict, cutoff):
+def test_pipeline_equals_its_three_commands_chained(trained_model, stream, strict, cutoff):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         source = work / "stream.jsonl"
         source.write_bytes(stream)
         flags = ["--strict"] if strict else []
         code, stdout, stderr, files = _run(
-            ["pipeline", "--input", str(source), "--model", str(model_file), *cutoff, *flags],
+            ["pipeline", "--input", str(source), "--model", str(trained_model), *cutoff, *flags],
             work / "pipeline")
-        chained = _chained_run(source, model_file, flags, cutoff, work / "chained")
+        chained = _chained_run(source, trained_model, flags, cutoff, work / "chained")
         event(f"exit {code}")
         # pipeline's closing line, which an abort leaves out, and its manifest
         # are the two things the commands run in turn do not make

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outbreakmon import svm, vectorizer
-from outbreakmon.cli import EXIT_MODEL, main
 from outbreakmon.corpus import load_labeled_set
 from outbreakmon.errors import ModelFileError, TrainingDataError
 from outbreakmon.svm import (
@@ -436,52 +435,6 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match="document frequency"):
             load_model(path)
-
-
-def _drop_bias(payload):
-    del payload["bias"]
-
-
-def _terms_as_object(payload):
-    payload["vocabulary"]["terms"] = dict(payload["vocabulary"]["terms"])
-
-
-def _one_element_row(payload):
-    payload["vocabulary"]["terms"][0] = payload["vocabulary"]["terms"][0][:1]
-
-
-def _repeated_term(payload):
-    terms = payload["vocabulary"]["terms"]
-    terms[1] = [terms[0][0], terms[1][1]]
-
-
-def _weights_as_object(payload):
-    payload["weights"] = {"0": payload["weights"][0]}
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_drop_bias, "model file is missing or mistypes a field: 'bias'"),
-    (_terms_as_object, "vocabulary terms must be a list"),
-    (_one_element_row, "malformed vocabulary row"),
-    (_repeated_term, "duplicate vocabulary term"),
-    (_weights_as_object, "weights must be a list of numbers"),
-], ids=["missing-bias", "terms-object", "one-element-row", "repeated-term", "weights-object"])
-def test_malformed_model_payload_is_a_model_failure(tmp_path, capsys, edit, message):
-    path = tmp_path / "model.json"
-    save_model(train_from_labeled(load_labeled_set(labeled_lines(5, 5))), path)
-    payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ModelFileError) as caught:
-        load_model(path)
-    assert str(caught.value).startswith(message)
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    out = tmp_path / "out"
-    assert main(["classify", "--input", str(empty), "--model", str(path),
-                 "--output", str(out), "--quiet"]) == EXIT_MODEL
-    assert capsys.readouterr().err.startswith(f"ERROR model failure: {message}")
-    assert not out.exists()
 
 
 def write_model_with(path, field, raw):

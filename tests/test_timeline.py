@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outbreakmon.cli import EXIT_OK, EXIT_TIMELINE, main
+from outbreakmon.cli import EXIT_OK, main
 from outbreakmon.corpus import TweetRecord
 from outbreakmon.errors import TimelineError
 from outbreakmon.timeline import (
@@ -352,35 +352,6 @@ def test_cut_histogram_equals_brute_scans(case):
     assert daily_frequency(days, start, end) == brute_daily(kept, start, end)
 
 
-TIMELINE_HEADER_ROW = "date,kind,new_ill,cumulative_ill,states,note"
-_INVALID = "ERROR timeline failure: invalid timeline:\n  "
-# violation kind -> (rows after the header, the whole of report's stderr)
-INVALID_TIMELINE_FILES = {
-    "no-events": ((), _INVALID + "timeline has no events\n"),
-    "no-announcement": (("2015-07-03,illness_onset,,,,",),
-                        _INVALID + "timeline has no announcement events\n"),
-    "out-of-order": (("2015-09-09,recall,,,,", "2015-09-04,announcement,,285,27,"),
-                     _INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"),
-    "same-day": (("2015-09-04,announcement,,285,27,", "2015-09-04,announcement,56,341,30,"),
-                 _INVALID + "announcement dates must strictly increase: "
-                            "2015-09-04 then 2015-09-04\n"),
-    "decrease": (("2015-09-04,announcement,,341,27,", "2015-09-09,announcement,,300,30,"),
-                 _INVALID + "cumulative illnesses decrease from 341 to 300 at 2015-09-09\n"),
-    "mismatch": (("2015-09-04,announcement,,285,27,", "2015-09-09,announcement,50,341,30,"),
-                 _INVALID + "arithmetic mismatch at 2015-09-09: 285 + 50 != 341 "
-                            "(previous cumulative at 2015-09-04)\n"),
-    "five-cells": (("2015-09-04,announcement,,285,27",),
-                   "ERROR timeline failure: row 2: expected 6 columns\n"),
-    "several": (("2015-09-09,announcement,,341,30,", "2015-09-04,announcement,10,300,31,",
-                 "2015-09-04,recall,,,,"),
-                _INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"
-                "  announcement dates must strictly increase: 2015-09-09 then 2015-09-04\n"
-                "  cumulative illnesses decrease from 341 to 300 at 2015-09-04\n"
-                "  arithmetic mismatch at 2015-09-04: 341 + 10 != 300 "
-                "(previous cumulative at 2015-09-09)\n"),
-}
-
-
 class TestTimelineFiles:
     def test_print_builtin_stdout_is_pinned(self, capsys):
         assert main(["timeline", "--print-builtin"]) == EXIT_OK
@@ -419,21 +390,6 @@ class TestTimelineFiles:
     def test_empty_file(self):
         with pytest.raises(TimelineError):
             parse_timeline_file([])
-
-    @pytest.mark.parametrize("rows, stderr", INVALID_TIMELINE_FILES.values(),
-                             ids=INVALID_TIMELINE_FILES.keys())
-    def test_report_on_an_invalid_timeline_exits_6_naming_every_violation(
-            self, tmp_path, capsys, rows, stderr):
-        stream = tmp_path / "s.jsonl"
-        stream.write_text(record(0, utc(2015, 9, 5)).output_line(), encoding="utf-8")
-        timeline = tmp_path / "t.csv"
-        timeline.write_text("".join(f"{row}\n" for row in (TIMELINE_HEADER_ROW, *rows)),
-                            encoding="utf-8")
-        out = tmp_path / "o"
-        assert main(["report", "--input", str(stream), "--timeline", str(timeline),
-                     "--output", str(out)]) == EXIT_TIMELINE
-        assert capsys.readouterr().err == stderr
-        assert not out.exists()
 
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
