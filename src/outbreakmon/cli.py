@@ -31,7 +31,6 @@ from .errors import (
     TrainingDataError,
     diagnose,
     to_null_device,
-    write_stderr,
 )
 from .keywords import (
     DEFAULT_PHRASES,
@@ -403,17 +402,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help, usage, version and error text goes out
-    through _write_stdout or write_stderr, so a failed write is handled like
-    any other: exit 2 with one ERROR line for standard output, dropped for
-    standard error."""
+    """An ArgumentParser that raises each refusal as a ValueError, which main
+    reports as one ERROR line (exit 2), and writes its help and version text
+    through _write_stdout, so a failed write exits 2 with one ERROR line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
     def _print_message(self, message: str, file=None) -> None:
         if message:
-            if file is sys.stdout:
-                _write_stdout(message)
-            else:
-                write_stderr(message)
+            _write_stdout(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -480,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         _show_info = not getattr(args, "quiet", False)
         if args.command in BUILTINS:
             if not args.print_builtin:
-                parser.error(f"{args.command}: nothing to do (use --print-builtin)")
+                raise ValueError(f"{args.command}: nothing to do (use --print-builtin)")
             _write_stdout(BUILTINS[args.command][1])
             return EXIT_OK
         cfg = build_config(args)
@@ -522,6 +520,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         diagnose("ERROR", f"bad arguments: {exc}")
         return EXIT_IO
+    except SystemExit as exc:  # --help or --version, once its text is written
+        return exc.code
     finally:
         _show_info = True
     return EXIT_OK

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import ParseError, TrainingDataError, diagnose
+from .errors import ParseError, TrainingDataError, diagnose, json_fault
 from .value import Value
 
 # The exact shapes of a YYYY-MM-DD day and a YYYY-MM-DDTHH:MM:SSZ timestamp
@@ -189,12 +189,8 @@ def parse_tweet_line(
             raise ParseError("invalid UTF-8", line_no)
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            # some messages end in a bare "at" ("Invalid control character at")
-            reason = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
-            raise ParseError(f"invalid JSON ({reason})", line_no) from None
-        except RecursionError:
-            raise ParseError("invalid JSON (nested too deeply)", line_no) from None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON ({json_fault(exc)})", line_no) from None
         if not isinstance(obj, dict):
             raise ParseError("record is not an object", line_no)
         if strict:

@@ -3,6 +3,7 @@ diagnostics that report them.
 
 Each class maps to one CLI exit code (see ``outbreakmon.cli``).
 """
+import json
 import os
 import sys
 from contextlib import suppress
@@ -31,6 +32,18 @@ class ModelFileError(Exception):
 
 class TimelineError(Exception):
     """Event timeline is malformed or fails validation."""
+
+
+def json_fault(exc: ValueError | RecursionError, *, lines: bool = False) -> str:
+    """Why ``json.loads`` refused a text, with where for a JSONDecodeError:
+    its column, and its line too with ``lines``."""
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    if not isinstance(exc, json.JSONDecodeError):  # int() refused a long literal
+        return f"integer of more than {sys.get_int_max_str_digits()} digits"
+    where = f"line {exc.lineno} column {exc.colno}" if lines else f"column {exc.colno}"
+    # some messages end in a bare "at" ("Invalid control character at")
+    return f"{exc.msg.removesuffix(' at')} at {where}"
 
 
 def to_null_device(fd: int) -> None:

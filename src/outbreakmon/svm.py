@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import LabeledExample, write_text_atomic
-from .errors import ModelFileError, TrainingDataError
+from .errors import ModelFileError, TrainingDataError, json_fault
 from .value import Value
 from .vectorizer import (
     SparseVector,
@@ -298,10 +298,8 @@ def load_model(source: str | Path) -> SvmModel:
         raise ModelFileError(f"model file is not valid UTF-8 (byte {exc.start})") from None
     try:
         payload = json.loads(raw, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(f"corrupt model file: {exc.msg}") from None
-    except RecursionError:
-        raise ModelFileError("corrupt model file: nested too deeply") from None
+    except (ValueError, RecursionError) as exc:
+        raise ModelFileError(f"corrupt model file: {json_fault(exc, lines=True)}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFileError("not a recognized model file")
     if payload.get("version") != MODEL_VERSION:

@@ -608,12 +608,9 @@ class TestBuiltinPrinters:
 
     @pytest.mark.parametrize("command", ["timeline", "keywords"])
     def test_without_print_builtin_exits_2(self, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command])
-        assert excinfo.value.code == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith(f"{command}: nothing to do (use --print-builtin)\n")
+        assert main([command]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "", f"ERROR bad arguments: {command}: nothing to do (use --print-builtin)\n")
 
     def test_keywords_print_builtin(self, capsys):
         assert main(["keywords", "--print-builtin"]) == EXIT_OK

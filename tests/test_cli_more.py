@@ -1,5 +1,6 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -31,7 +32,7 @@ from outbreakmon.cli import (
     main,
 )
 
-from outbreakmon.corpus import load_labeled_set
+from outbreakmon.corpus import load_labeled_set, parse_date
 from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
 
 from synthdata import RELEVANT_TEMPLATES, labeled_lines, record_line, stream_lines
@@ -130,12 +131,18 @@ def test_model_written_into_new_directory(tmp_path):
     assert nested.exists()
 
 
-def test_version_flag():
-    import pytest
+def test_version_flag(capsys):
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr() == (f"outbreakmon {outbreakmon.__version__}\n", "")
 
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--version"])
-    assert excinfo.value.code == 0
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: outbreakmon [-h]"),
+                                         (["pipeline", "--help"], "usage: outbreakmon pipeline")],
+                         ids=["help", "pipeline-help"])
+def test_help_goes_to_stdout_and_main_returns_0(capsys, argv, usage):
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert (out.startswith(usage), err) == (True, "")
 
 
 def _lines_file(path, *lines):
@@ -182,6 +189,21 @@ def test_line_nested_too_deep_is_rejected_in_lenient_mode(tmp_path, capsys):
     rejections = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("WARNING rejected")]
     assert rejections == ["WARNING rejected line 2: invalid JSON (nested too deeply)"]
+
+
+def test_integer_past_the_digit_limit_is_rejected_in_lenient_mode(tmp_path, capsys,
+                                                                  trained_model):
+    limit = sys.get_int_max_str_digits()
+    line = b'{"id":' + b"1" * (limit + 1) + b',"timestamp":"2015-09-05T00:00:00Z","text":"x"}'
+    stream = _lines_file(tmp_path / "s.jsonl", _good_line("a"), line, _good_line("c"))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--input", str(stream), "--model", str(trained_model),
+                 "--output", str(out), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        f"WARNING rejected line 2: invalid JSON (integer of more than {limit} digits)\n")
+    assert (out / FILTERED_NAME).read_bytes() == _good_line("a") + b"\n" + _good_line("c") + b"\n"
+    manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+    assert manifest["stages"]["filter"]["rejected_lines"] == 1
 
 
 def _raise_oserror(*args, **kwargs):
@@ -385,18 +407,19 @@ NOT_YYYY_MM_DD = ["20150909", "2015-W37-4", "2015-252", "2015-09-09T00:00",
 
 @pytest.mark.parametrize("raw", NOT_YYYY_MM_DD)
 def test_date_settings_take_only_yyyy_mm_dd(tmp_path, capsys, raw):
-    with pytest.raises(SystemExit) as excinfo:
-        _build_parser().parse_args(["report", "--daily-start", raw])
-    assert excinfo.value.code == EXIT_IO
-    flag_error = capsys.readouterr().err.splitlines()[-1]
+    with pytest.raises(ValueError) as excinfo:
+        parse_date(raw)
+    # the flag and the config file both name the fault, not argparse's
+    # "invalid parse_date value"
+    reason = str(excinfo.value)
+    assert main(["report", "--daily-start", raw]) == EXIT_IO
+    assert capsys.readouterr() == (
+        "", f"ERROR bad arguments: argument --daily-start: {reason}\n")
     config = tmp_path / "run.conf"
     config.write_text(f"daily_end = {raw}\n", encoding="utf-8")
     assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
-    config_error = capsys.readouterr().err
-    assert "bad value for daily_end: " in config_error
-    # the flag names the same fault as the config file, not parse_date
-    reason = config_error.partition("bad value for daily_end: ")[2].rstrip("\n")
-    assert flag_error == f"outbreakmon report: error: argument --daily-start: {reason}"
+    assert capsys.readouterr() == (
+        "", f"ERROR bad arguments: {config}:1: bad value for daily_end: {reason}\n")
 
 
 
@@ -535,10 +558,8 @@ def test_an_empty_path_is_refused_naming_its_setting(tmp_path, capsys, monkeypat
     monkeypatch.chdir(tmp_path)
     command = next(name for name, (_, keys, _) in COMMANDS.items() if key in ("output", *keys))
     flag = CONFIG_KEYS[key][1]
-    with pytest.raises(SystemExit) as excinfo:
-        main([command, flag, "", "--quiet"])
-    assert excinfo.value.code == EXIT_IO
-    assert f"argument {flag}: empty path\n" in capsys.readouterr().err
+    assert main([command, flag, "", "--quiet"]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"ERROR bad arguments: argument {flag}: empty path\n")
     (tmp_path / "run.conf").write_text(f"# settings\n{key} =\n", encoding="utf-8")
     assert main([command, "--config", "run.conf", "--quiet"]) == EXIT_IO
     assert capsys.readouterr().err == (

@@ -7,6 +7,7 @@ directory, the exit code and the whole of standard error. The driver runs
 and no output directory, model or temporary file beside the row's files.
 """
 import json
+import sys
 
 import pytest
 
@@ -39,6 +40,9 @@ UNDECODABLE = b'{"id":"b","timestamp":"2015-09-05T00:00:00Z","text":"salmonella 
 LONE_SURROGATE = b'{"id":"b","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \\ud83d"}\n'
 # nested past the recursion limit, where json.loads raises RecursionError
 NESTED_TOO_DEEP = b'{"x":' + b"[" * 100_000 + b"\n"
+# one digit past the longest integer literal int() converts
+LONG_INTEGER = b"1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = f"integer of more than {sys.get_int_max_str_digits()} digits"
 LABELED = _file(*labeled_lines(2, 2))
 TIMELINE = b"date,kind,new_ill,cumulative_ill,states,note\n"
 
@@ -99,16 +103,26 @@ ROWS = {
     "config-key-set-twice": _config("filter", b"input = a.jsonl\n# the same key again\ninput = b\n",
                                     "3: input already set on line 1"),
     "config-path-empty": ({}, "filter --config= --output {tmp}/o", EXIT_IO,
-                          "usage: outbreakmon filter [-h] [--config CONFIG] [--output OUTPUT]\n"
-                          "                          [--input INPUT] [--keywords KEYWORDS]"
-                          " [--strict]\n                          [--quiet]\n"
-                          "outbreakmon filter: error: argument --config: empty path\n"),
+                          BAD_ARGUMENTS + "argument --config: empty path\n"),
+    # refusals of the command line, the first three in argparse's own words
+    "no-subcommand": ({}, "", EXIT_IO,
+                      BAD_ARGUMENTS + "the following arguments are required: command\n"),
+    "unknown-option": ({}, "filter --output {tmp}/o --bogus", EXIT_IO,
+                       BAD_ARGUMENTS + "unrecognized arguments: --bogus\n"),
+    "daily-start-not-yyyy-mm-dd": (
+        STREAM, REPORT + " --daily-start 20150909", EXIT_IO,
+        BAD_ARGUMENTS + "argument --daily-start: date '20150909' is not in YYYY-MM-DD form\n"),
+    "keywords-without-print-builtin": ({}, "keywords", EXIT_IO,
+                                       BAD_ARGUMENTS + "keywords: nothing to do "
+                                                       "(use --print-builtin)\n"),
     # 3: parse failure
     "strict-malformed-line": _strict(b"{broken\n", "invalid JSON (Expecting property name "
                                                     "enclosed in double quotes at column 2)"),
     "strict-undecodable-byte": _strict(UNDECODABLE, "invalid UTF-8"),
     "strict-escaped-lone-surrogate": _strict(LONE_SURROGATE, "field 'text' holds a lone surrogate"),
     "strict-nested-too-deep": _strict(NESTED_TOO_DEEP, "invalid JSON (nested too deeply)"),
+    "strict-integer-too-long": _strict(b'{"id":' + LONG_INTEGER + b"}\n",
+                                       f"invalid JSON ({TOO_LONG})"),
     "keywords-only-comments": ({**STREAM, "k.txt": b"# only comments\n"},
                                FILTER + " --keywords {tmp}/k.txt", EXIT_PARSE,
                                PARSE_FAILURE + "keyword file contains no phrases\n"),
@@ -123,14 +137,19 @@ ROWS = {
                                  PARSE_FAILURE + "line 1: invalid UTF-8\n"),
     "labeled-nested-too-deep": ({"l.jsonl": NESTED_TOO_DEEP}, TRAIN, EXIT_PARSE,
                                 PARSE_FAILURE + "line 1: invalid JSON (nested too deeply)\n"),
+    "labeled-integer-too-long": ({"l.jsonl": b'{"id":' + LONG_INTEGER + b"}\n"}, TRAIN,
+                                 EXIT_PARSE, f"{PARSE_FAILURE}line 1: invalid JSON ({TOO_LONG})\n"),
     # 4: training data unusable
     "single-class": ({"l.jsonl": _file(*labeled_lines(10, 0))}, TRAIN, EXIT_TRAINING_DATA,
                      "ERROR training data unusable: training data contains a single class\n"),
     # 5: model file corrupt, wrong version or inconsistent
-    "model-not-json": _classify(b"not a model", "corrupt model file: Expecting value"),
+    "model-not-json": _classify(b"not a model",
+                                "corrupt model file: Expecting value at line 1 column 1"),
     "model-undecodable-byte": _classify(lambda model: b"\xff" + model,
                                         "model file is not valid UTF-8 (byte 0)"),
     "model-nested-too-deep": _classify(NESTED_TOO_DEEP, "corrupt model file: nested too deeply"),
+    "model-integer-too-long": _classify(b'{"version":' + LONG_INTEGER + b"}",
+                                        f"corrupt model file: {TOO_LONG}"),
     "model-weight-past-float-range": _classify(_model_with("weights", 0, edit=lambda _: 1e999),
                                                "weight is outside the float range"),
     "model-non-positive-c": _classify(_model_with("training_meta", "C", edit=lambda _: -1.0),
@@ -181,16 +200,11 @@ ROWS = {
 
 
 @pytest.mark.parametrize("files, argv, code, stderr", ROWS.values(), ids=ROWS.keys())
-def test_exit_code_and_whole_stderr(tmp_path, trained_model, capsys, monkeypatch, files, argv,
-                                    code, stderr):
-    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its usage text to
+def test_exit_code_and_whole_stderr(tmp_path, trained_model, capsys, files, argv, code, stderr):
     model = trained_model.read_bytes()
     for name, content in files.items():
         (tmp_path / name).write_bytes(content(model) if callable(content) else content)
-    try:
-        exit_code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv.split()])
-    except SystemExit as exc:  # argparse refuses an argument before main's handlers
-        exit_code = exc.code
+    exit_code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv.split()])
     out, err = capsys.readouterr()
     assert (exit_code, out, err.replace(str(tmp_path), "{tmp}")) == (code, "", stderr)
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)

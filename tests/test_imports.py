@@ -1,7 +1,7 @@
 """Every name a package or test module imports at its top level is used
 there, and every top-level helper of a test module is used somewhere in the
-tests or the benchmark. No linter runs on this project, so these tests are
-the check."""
+tests or the benchmark, and no package module exits outside its main
+block. No linter runs on this project, so these tests are the check."""
 import ast
 from pathlib import Path
 
@@ -45,3 +45,30 @@ def test_every_test_helper_is_referenced():
                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_")
                     and node.name not in referenced]
     assert unreferenced == []
+
+
+def exits_outside_the_main_block(source: str) -> list[int]:
+    """The lines that raise SystemExit, or call ``exit``, ``sys.exit`` or any
+    other ``.exit``, outside the module's ``if __name__ == "__main__":``."""
+    tree = ast.parse(source)
+    body = [node for node in tree.body if not (
+        isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")]
+    found = []
+    for node in (inner for top in body for inner in ast.walk(top)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "SystemExit":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "exit"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "exit"):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_main_block_exits():
+    # main returns every exit code; an exit anywhere else would end a run
+    # past its handlers, or end a caller that imported the package
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := exits_outside_the_main_block(path.read_text(encoding="utf-8")))}
+    assert found == {}
