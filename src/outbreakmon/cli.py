@@ -2,7 +2,8 @@
 
 Data goes to files or standard output; diagnostics go to standard error.
 Exit codes are stable: 0 success, 2 I/O or bad arguments, 3 parse failure,
-4 unusable training data, 5 model-file failure, 6 timeline failure.
+4 unusable training data, 5 model-file failure, 6 timeline failure. A run
+stopped by SIGINT, SIGTERM or SIGHUP ends by that signal.
 """
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import sys
+import threading
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -78,6 +81,9 @@ MANIFEST_VERSION = 2
 
 # Distinct texts whose verdicts run_classify keeps, the most recently used.
 SCORE_MEMO_LIMIT = 2**16
+
+# The signals that stop a run; see main.
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
 
 # False only while main runs a command given --quiet, which drops INFO
 # diagnostics.
@@ -427,13 +433,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(
         prog="outbreakmon",
+        allow_abbrev=False,
         description="Filter a tweet stream by keyword phrases, classify relevance "
                     "with a tf-idf linear SVM, and report counts per announcement period.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, keys, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", type=flag_type(parse_path),
                        help="flat key = value config file")
         for key in ("output", *keys):
@@ -446,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", default=None,
                        help="suppress informational messages")
     for command, (summary, _, _) in BUILTINS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--print-builtin", action="store_true",
                        help=f"write the builtin {command} to standard output")
     return parser
@@ -470,7 +477,46 @@ def _info(message: str) -> None:
         diagnose("INFO", message)
 
 
+class _Stopped(BaseException):
+    """A stop signal arrived while main ran. Not an Exception, so no handler
+    of a command's errors takes it, and not SystemExit, which main takes for
+    the end of --help; open_text_atomic's cleanup runs as for any error."""
+
+
+def _stop(signum: int, frame) -> None:
+    # The first stop signal ends the run: the rest are ignored, so that none
+    # interrupts the cleanup of the output being written.
+    for other in STOP_SIGNALS:
+        signal.signal(other, signal.SIG_IGN)
+    raise _Stopped(signal.Signals(signum))
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the command ``argv`` names and return its exit code. A stop signal
+    (STOP_SIGNALS) that the process does not ignore, as nohup ignores SIGHUP,
+    cleans up as a failed run does, writes one ERROR line and then ends the
+    process by that signal; on every other path the handlers main found are
+    put back."""
+    found = {}
+    try:
+        if threading.current_thread() is threading.main_thread():
+            for signum in STOP_SIGNALS:
+                # None: a handler set outside Python, which could not be put back
+                if signal.getsignal(signum) not in (signal.SIG_IGN, None):
+                    found[signum] = signal.signal(signum, _stop)
+        return _run(argv)
+    except _Stopped as stop:
+        (signum,) = stop.args
+        diagnose("ERROR", f"stopped by {signum.name}")
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+        raise  # not reached: the signal ends the process
+    finally:
+        for signum, handler in found.items():
+            signal.signal(signum, handler)
+
+
+def _run(argv: list[str] | None) -> int:
     global _show_info
     parser = _build_parser()
     try:

@@ -59,21 +59,16 @@ def to_null_device(fd: int) -> None:
             os.close(null)
 
 
-def write_stderr(text: str) -> None:
-    """Write ``text`` to ``sys.stderr`` as it is now. A diagnostic never
-    changes how a run ends: with no standard error, or when the write fails,
-    the text is dropped and fd 2 is pointed at the null device."""
+def diagnose(level: str, message: str) -> None:
+    """One diagnostic line, ``INFO``, ``WARNING`` or ``ERROR`` and then
+    ``message``, on ``sys.stderr`` as it is now. A diagnostic never changes
+    how a run ends: with no standard error, or when the write fails, the
+    line is dropped and fd 2 is pointed at the null device."""
     stream = sys.stderr
     if stream is not None:
         try:
-            stream.write(text)
+            stream.write(f"{level} {message}\n")
             return
         except (OSError, ValueError):  # ValueError: a closed stream
             pass
     to_null_device(2)
-
-
-def diagnose(level: str, message: str) -> None:
-    """One diagnostic line, ``INFO``, ``WARNING`` or ``ERROR`` and then
-    ``message``, on standard error."""
-    write_stderr(f"{level} {message}\n")

@@ -273,6 +273,14 @@ def test_config_file_and_flag_set_the_same_field_and_the_flag_wins(tmp_path, key
     assert config(other, *flag_args) == parsed
 
 
+def test_a_flag_given_twice_takes_its_last_value(tmp_path):
+    record = _one_record_file(tmp_path)
+    out = tmp_path / "o"
+    assert main(["filter", "--input", str(tmp_path / "absent.jsonl"), "--input", str(record),
+                 "--output", str(out), "--quiet"]) == EXIT_OK
+    assert (out / FILTERED_NAME).read_bytes() == record.read_bytes()
+
+
 def test_config_hash_is_pinned():
     # every hashed setting set; the hex is the one manifests have always written
     args = _build_parser().parse_args([
@@ -483,6 +491,12 @@ COMMAND_OPTIONS = {
 def test_each_subcommand_takes_exactly_its_pinned_options():
     assert {command: {option for action in parser._actions for option in action.option_strings}
             for command, parser in _subparsers().items()} == COMMAND_OPTIONS
+
+
+def test_no_parser_takes_a_prefix_of_an_option():
+    parsers = {"outbreakmon": _build_parser(), **_subparsers()}
+    assert {name: parser.allow_abbrev for name, parser in parsers.items()} \
+        == dict.fromkeys(["outbreakmon", *COMMAND_OPTIONS], False)
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))

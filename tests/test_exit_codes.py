@@ -109,6 +109,18 @@ ROWS = {
                       BAD_ARGUMENTS + "the following arguments are required: command\n"),
     "unknown-option": ({}, "filter --output {tmp}/o --bogus", EXIT_IO,
                        BAD_ARGUMENTS + "unrecognized arguments: --bogus\n"),
+    # an option is taken only by its full name, never by a prefix of it
+    "input-prefix": (STREAM, "filter --inp {tmp}/s.jsonl --output {tmp}/o", EXIT_IO,
+                     BAD_ARGUMENTS + "unrecognized arguments: --inp {tmp}/s.jsonl\n"),
+    "output-prefix": (STREAM, "filter --input {tmp}/s.jsonl --out {tmp}/o", EXIT_IO,
+                      BAD_ARGUMENTS + "unrecognized arguments: --out {tmp}/o\n"),
+    "quiet-prefix": (STREAM, FILTER + " --q", EXIT_IO,
+                     BAD_ARGUMENTS + "unrecognized arguments: --q\n"),
+    "strict-prefix": ({**STREAM, "m.json": lambda model: model},
+                      "pipeline --input {tmp}/s.jsonl --model {tmp}/m.json --output {tmp}/o --str",
+                      EXIT_IO, BAD_ARGUMENTS + "unrecognized arguments: --str\n"),
+    "daily-start-prefix": (STREAM, REPORT + " --daily-s 2015-09-01", EXIT_IO,
+                           BAD_ARGUMENTS + "unrecognized arguments: --daily-s 2015-09-01\n"),
     "daily-start-not-yyyy-mm-dd": (
         STREAM, REPORT + " --daily-start 20150909", EXIT_IO,
         BAD_ARGUMENTS + "argument --daily-start: date '20150909' is not in YYYY-MM-DD form\n"),
