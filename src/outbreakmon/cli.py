@@ -529,7 +529,8 @@ def _run(argv: list[str] | None) -> int:
             return EXIT_OK
         cfg = build_config(args)
         # Check the command's files before any input loads: each it needs is
-        # set, and no output replaces an input, the config file included.
+        # set, no output replaces an input, the config file included, and
+        # none that pipeline hashes is a pipe.
         paths = {key: getattr(cfg, key) for key in _path_keys(args.command)}
         for key, path in paths.items():
             if path is None and key not in BUILTINS:
@@ -538,6 +539,12 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "train":
             outputs.append(paths.pop("model"))
         _refuse_to_replace([args.config, *paths.values()], outputs)
+        if args.command == "pipeline":
+            # pipeline hashes each file after reading it, which a pipe cannot
+            # give again; is_fifo leaves a missing file to the load that names it
+            for key, path in paths.items():
+                if path is not None and path.is_fifo():
+                    raise ValueError(f"{key} {path} is a pipe, and pipeline hashes only files")
         if args.command == "filter":
             run_filter(cfg, _load_builtin_or_file(cfg, "keywords"))
         elif args.command == "train":

@@ -54,7 +54,8 @@ class EventRecord(Value):
 
 class EventTimeline(Value):
     """Date-ordered events that pass validate_timeline: construction raises
-    TimelineError naming every violation, so each timeline is valid."""
+    TimelineError naming every violation on one line, so each timeline is
+    valid."""
 
     # boundaries: the announcement dates, strictly increasing, which bound
     # the periods of period_counts
@@ -65,7 +66,7 @@ class EventTimeline(Value):
         self._set_slots(events, tuple(e.date for e in events if e.kind in BOUNDARY_KINDS))
         violations = validate_timeline(self)
         if violations:
-            raise TimelineError("invalid timeline:\n  " + "\n  ".join(violations))
+            raise TimelineError("invalid timeline: " + "; ".join(violations))
 
     def announcements(self) -> tuple[EventRecord, ...]:
         return tuple(e for e in self.events if e.kind in BOUNDARY_KINDS)

@@ -1,5 +1,6 @@
 """Exit-code and edge-case coverage that did not fit the main CLI scenarios."""
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -579,3 +580,45 @@ def test_an_empty_path_is_refused_naming_its_setting(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         f"ERROR bad arguments: run.conf:2: bad value for {key}: empty path\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "run.conf"]
+
+
+def _pipeline_child(tmp_path, child_env, files, **run):
+    """Run ``pipeline`` in a child on ``files`` (config key -> path) into
+    ``tmp_path / "out"``; a child that blocks fails the test at its timeout."""
+    argv = [arg for key, path in files.items() for arg in (CONFIG_KEYS[key][1], str(path))]
+    return subprocess.run([sys.executable, "-m", "outbreakmon.cli", "pipeline", *argv,
+                           "--output", str(tmp_path / "out"), "--quiet"],
+                          cwd=tmp_path, env=child_env, capture_output=True, timeout=30, **run)
+
+
+# pipeline hashes each input after reading it, which a pipe cannot give twice
+@pytest.mark.parametrize("key", ["input", "keywords", "model", "timeline", "stdin"])
+def test_pipeline_refuses_a_pipe_at_once_and_writes_nothing(tmp_path, trained_model, child_env,
+                                                           key):
+    stream = _one_record_file(tmp_path)
+    files = {"input": stream, "model": trained_model}
+    if key == "stdin":
+        key, run = "input", {"input": stream.read_bytes()}
+        files[key] = Path("/dev/stdin")
+    else:  # a FIFO that no process writes
+        run = {"stdin": subprocess.DEVNULL}
+        files[key] = tmp_path / "fifo"
+        os.mkfifo(files[key])
+    result = _pipeline_child(tmp_path, child_env, files, **run)
+    assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (
+        EXIT_IO, b"",
+        f"ERROR bad arguments: {key} {files[key]} is a pipe, and pipeline hashes only files\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_hashes_standard_input_redirected_from_a_file(tmp_path, trained_model,
+                                                               child_env):
+    stream = _one_record_file(tmp_path)
+    with open(stream, "rb") as stdin:
+        result = _pipeline_child(tmp_path, child_env,
+                                 {"input": Path("/dev/stdin"), "model": trained_model},
+                                 stdin=stdin)
+    assert result.returncode == EXIT_OK, result.stderr
+    manifest = json.loads((tmp_path / "out" / MANIFEST_NAME).read_text(encoding="utf-8"))
+    assert manifest["inputs"]["input"] == hashlib.sha256(stream.read_bytes()).hexdigest()
+    assert manifest["stages"]["filter"]["input_records"] == 1

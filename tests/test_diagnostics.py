@@ -1,18 +1,24 @@
 """Diagnostics: the exact lines a run writes to standard error, and a run
 whose standard error cannot be written.
 
-Each diagnostic is one ``INFO|WARNING|ERROR message`` line. A failed write
-of one is dropped and never changes the exit code.
+Each diagnostic is one ``INFO|WARNING|ERROR message`` line, whatever line
+breaks the message holds. A failed write of one is dropped and never changes
+the exit code.
 """
+import io
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from outbreakmon.cli import COMMANDS, EXIT_IO, EXIT_OK
+from outbreakmon.errors import diagnose
 
 from synthdata import DECOY_TEMPLATES, NOISE_TEMPLATES, RELEVANT_TEMPLATES, record_line
 
@@ -98,6 +104,17 @@ def test_pipeline_writes_exactly_these_diagnostics(work, tmp_path, child_env, fl
     assert result.returncode == EXIT_OK
     stderr = result.stderr.decode("utf-8").replace(str(out), "OUT")
     assert stderr == "".join(line + "\n" for line in expected)
+
+
+@given(message=st.text())
+@example(message="a\r\nb\vc\fd\x1ce\x1df\x1eg\x85h\u2028i\u2029j\\n")
+def test_a_diagnostic_is_one_line_and_a_printable_message_keeps_its_text(message):
+    with redirect_stderr(io.StringIO()) as stream:
+        diagnose("WARNING", message)
+    line = stream.getvalue()
+    assert line.endswith("\n") and len(line.splitlines()) == 1
+    if message.isprintable():
+        assert line == f"WARNING {message}\n"
 
 
 @pytest.mark.parametrize("module", ["logging", "dataclasses", "inspect"])

@@ -7,6 +7,7 @@ directory, the exit code and the whole of standard error. The driver runs
 and no output directory, model or temporary file beside the row's files.
 """
 import json
+import math
 import sys
 
 import pytest
@@ -53,7 +54,7 @@ REPORT = "report --input {tmp}/s.jsonl --output {tmp}/o"
 
 BAD_ARGUMENTS = "ERROR bad arguments: "
 PARSE_FAILURE = "ERROR parse failure: "
-INVALID = "invalid timeline:\n  "
+INVALID = "invalid timeline: "
 
 
 def _config(command, text, message):
@@ -135,6 +136,10 @@ ROWS = {
     "strict-nested-too-deep": _strict(NESTED_TOO_DEEP, "invalid JSON (nested too deeply)"),
     "strict-integer-too-long": _strict(b'{"id":' + LONG_INTEGER + b"}\n",
                                        f"invalid JSON ({TOO_LONG})"),
+    # a line break in the input is written as its escape: the diagnostic stays one line
+    "strict-field-name-with-line-break": _strict(
+        b'{"id":"1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella",'
+        b'"a\\nWARNING forged":1}\n', "unknown fields: a\\nWARNING forged"),
     "keywords-only-comments": ({**STREAM, "k.txt": b"# only comments\n"},
                                FILTER + " --keywords {tmp}/k.txt", EXIT_PARSE,
                                PARSE_FAILURE + "keyword file contains no phrases\n"),
@@ -159,6 +164,16 @@ ROWS = {
                                 "corrupt model file: Expecting value at line 1 column 1"),
     "model-undecodable-byte": _classify(lambda model: b"\xff" + model,
                                         "model file is not valid UTF-8 (byte 0)"),
+    "model-wrong-format": _classify(b'{"format": "something-else", "version": 1}',
+                                    "not a recognized model file"),
+    "model-version-99": _classify(_model_with("version", edit=lambda _: 99),
+                                  "unsupported model file version 99 (expected 1)"),
+    "model-token-rules": _classify(_model_with("token_rules", edit=lambda _: "stemming-v9"),
+                                   "unsupported token rules 'stemming-v9'"),
+    # json.dumps writes an infinite bias as the JSON constant Infinity
+    "model-infinite-bias": _classify(
+        lambda model: json.dumps(json.loads(model) | {"bias": math.inf}).encode("utf-8"),
+        "non-finite number 'Infinity' in model file"),
     "model-nested-too-deep": _classify(NESTED_TOO_DEEP, "corrupt model file: nested too deeply"),
     "model-integer-too-long": _classify(b'{"version":' + LONG_INTEGER + b"}",
                                         f"corrupt model file: {TOO_LONG}"),
@@ -179,12 +194,32 @@ ROWS = {
         "duplicate vocabulary term 'salmonella'"),
     "model-weights-object": _classify(_model_with("weights", edit=lambda w: {"0": w[0]}),
                                       "weights must be a list of numbers"),
+    # the shared model has 85 terms from 80 documents, the first 'salmonella'
+    "model-one-weight": _classify(_model_with("weights", edit=lambda w: w[:1]),
+                                  "weights length 1 does not match vocabulary size 85"),
+    "model-df-past-corpus-size": _classify(
+        _model_with("vocabulary", "terms", 0, 1, edit=lambda _: 81),
+        "document frequency 81 out of range for term 'salmonella'"),
     # 6: timeline malformed or failed validation
+    "timeline-empty": _report(b"", "timeline file is empty"),
+    "timeline-no-header": _report(
+        b"2015-09-04,announcement,,,,\n",
+        "timeline header must be date,kind,new_ill,cumulative_ill,states,note, "
+        "got 2015-09-04,announcement,,,,"),
+    "timeline-header-with-line-break": _report(
+        TIMELINE.replace(b"note", b'"note\nWARNING forged"'),
+        "timeline header must be date,kind,new_ill,cumulative_ill,states,note, "
+        "got date,kind,new_ill,cumulative_ill,states,note\\nWARNING forged"),
+    "timeline-undecodable-header": _report(TIMELINE.replace(b"note", b"note\xff"),
+                                           "row 1: invalid UTF-8"),
     "timeline-undecodable-byte": _report(
         TIMELINE + b"2015-09-04,announcement,,285,27,\n2015-09-09,announcement,56,341,30,\xff\n",
         "row 3: invalid UTF-8"),
     "timeline-five-cells": _report(TIMELINE + b"2015-09-04,announcement,,285,27\n",
                                    "row 2: expected 6 columns"),
+    "timeline-bad-date": _report(TIMELINE + b"soon,announcement,,,,\n", "row 2: bad date 'soon'"),
+    "timeline-bad-kind": _report(TIMELINE + b"2015-09-04,party,,,,\n",
+                                 "row 2: unknown event kind 'party'"),
     "timeline-no-events": _report(TIMELINE, INVALID + "timeline has no events"),
     "timeline-no-announcement": _report(TIMELINE + b"2015-07-03,illness_onset,,,,\n",
                                         INVALID + "timeline has no announcement events"),
@@ -204,10 +239,10 @@ ROWS = {
     "timeline-several": _report(
         TIMELINE + b"2015-09-09,announcement,,341,30,\n2015-09-04,announcement,10,300,31,\n"
                    b"2015-09-04,recall,,,,\n",
-        INVALID + "events out of order: 2015-09-04 after 2015-09-09\n"
-        "  announcement dates must strictly increase: 2015-09-09 then 2015-09-04\n"
-        "  cumulative illnesses decrease from 341 to 300 at 2015-09-04\n"
-        "  arithmetic mismatch at 2015-09-04: 341 + 10 != 300 (previous cumulative at 2015-09-09)"),
+        INVALID + "events out of order: 2015-09-04 after 2015-09-09; "
+        "announcement dates must strictly increase: 2015-09-09 then 2015-09-04; "
+        "cumulative illnesses decrease from 341 to 300 at 2015-09-04; "
+        "arithmetic mismatch at 2015-09-04: 341 + 10 != 300 (previous cumulative at 2015-09-09)"),
 }
 
 
