@@ -312,6 +312,12 @@ class TestModelFile:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_corrupt_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{definitely not json")
+        with pytest.raises(ModelFileError, match="corrupt"):
+            load_model(path)
+
     @pytest.mark.parametrize("step", ["write", "replace"])
     def test_failed_save_keeps_the_old_file(self, trained, tmp_path, monkeypatch, step):
         path = tmp_path / "model.json"

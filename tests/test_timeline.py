@@ -23,6 +23,7 @@ from outbreakmon.timeline import (
     day_counts,
     format_daily_counts,
     format_period_report,
+    parse_timeline_file,
     period_counts,
     validate_timeline,
 )
@@ -130,6 +131,18 @@ class TestAssignPeriod:
         periods = [period_of(timeline, t) for t in instants]
         assert periods == sorted(periods)
 
+    # A timeline that could not bound periods cannot be built.
+    def test_timeline_without_announcements_rejected(self):
+        assert violations_of(EventRecord(date=date(2015, 7, 3), kind=ILLNESS_ONSET)) \
+            == ["timeline has no announcement events"]
+
+    def test_unordered_announcements_rejected(self):
+        assert violations_of(EventRecord(date=date(2015, 9, 9), kind=ANNOUNCEMENT),
+                             EventRecord(date=date(2015, 9, 4), kind=ANNOUNCEMENT)) == [
+            "events out of order: 2015-09-04 after 2015-09-09",
+            "announcement dates must strictly increase: 2015-09-09 then 2015-09-04",
+        ]
+
 
 class TestBucketCounts:
     def test_empty_collection(self):
@@ -174,6 +187,48 @@ class TestBucketCounts:
 class TestValidateTimeline:
     """validate_timeline runs as an EventTimeline is built: an invalid one
     raises a TimelineError naming each violation."""
+
+    def _violations(self, *rows):
+        return violations_of(*(
+            EventRecord(date=d, kind=ANNOUNCEMENT, new_ill=new, cumulative_ill=cum)
+            for d, new, cum in rows
+        ))
+
+    def test_monotonicity_violation(self):
+        violations = self._violations(
+            (date(2015, 9, 4), None, 341), (date(2015, 9, 9), None, 300)
+        )
+        assert violations == ["cumulative illnesses decrease from 341 to 300 at 2015-09-09"]
+
+    def test_arithmetic_violation(self):
+        violations = self._violations(
+            (date(2015, 9, 4), None, 285), (date(2015, 9, 9), 50, 341)
+        )
+        assert violations == ["arithmetic mismatch at 2015-09-09: 285 + 50 != 341 "
+                              "(previous cumulative at 2015-09-04)"]
+
+    def test_out_of_order_dates(self):
+        violations = self._violations(
+            (date(2015, 9, 9), None, 285), (date(2015, 9, 4), 56, 341)
+        )
+        assert "events out of order: 2015-09-04 after 2015-09-09" in violations
+
+    def test_duplicate_announcement_dates(self):
+        violations = self._violations(
+            (date(2015, 9, 4), None, 285), (date(2015, 9, 4), 56, 341)
+        )
+        assert violations == [
+            "announcement dates must strictly increase: 2015-09-04 then 2015-09-04"]
+
+    def test_reports_all_violations_not_just_first(self):
+        violations = self._violations(
+            (date(2015, 9, 9), None, 341),
+            (date(2015, 9, 4), 10, 300),
+        )
+        assert len(violations) == 4
+
+    def test_empty_timeline(self):
+        assert violations_of() == ["timeline has no events"]
 
     def test_perturbing_any_cumulative_by_one_is_caught(self):
         base = builtin_cdc_timeline()
@@ -305,6 +360,18 @@ class TestTimelineFiles:
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
             "bfe0e62dacbc85e61b68215a4160cf98d5044f1005e6be948afcaa4417e6c241")
 
+    def test_parsing_validates_and_names_every_violation(self):
+        lines = ["date,kind,new_ill,cumulative_ill,states,note",
+                 "2015-09-09,announcement,,341,30,",
+                 "2015-09-04,announcement,10,300,31,"]
+        with pytest.raises(TimelineError) as excinfo:
+            parse_timeline_file(lines)
+        message = str(excinfo.value)
+        assert message.startswith("invalid timeline: ")
+        assert "\n" not in message
+        assert "events out of order: 2015-09-04 after 2015-09-09" in message
+        assert "cumulative illnesses decrease from 341 to 300 at 2015-09-04" in message
+
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
         instants = [utc(2015, 8, 20) + timedelta(days=9 * i) for i in range(12)]
@@ -323,6 +390,16 @@ class TestTimelineFiles:
                            for n in ("period_counts.csv", "daily_counts.csv")])
         assert tables[0] == tables[1]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("row_no", [1, 3])
+    def test_undecodable_byte_names_its_row(self, row_no):
+        # what a file read with errors="surrogateescape" yields for byte 0xff
+        lines = ["date,kind,new_ill,cumulative_ill,states,note",
+                 "2015-09-04,announcement,,285,27,",
+                 "2015-09-09,announcement,56,341,30,"]
+        lines[row_no - 1] += "\udcff"
+        with pytest.raises(TimelineError, match=f"row {row_no}: invalid UTF-8"):
+            parse_timeline_file(lines)
 
 
 class TestReportFormatting:
