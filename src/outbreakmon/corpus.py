@@ -112,9 +112,7 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
     other date shape is an error rather than a guess.
     """
     if isinstance(raw, str) and _TIMESTAMP_SHAPE.fullmatch(raw):
-        instant = _utc_from_shaped(raw)
-        if instant is not None:
-            return instant
+        return _utc_from_shaped(raw, line_no)
     raise _timestamp_error(raw, line_no)
 
 
@@ -122,13 +120,13 @@ def parse_timestamp(raw: str, line_no: int | None = None) -> datetime:
 _fromisoformat = datetime.fromisoformat
 
 
-def _utc_from_shaped(raw: str) -> datetime | None:
-    """The instant of a timestamp already in _TIMESTAMP_SHAPE, or None for an
-    impossible date such as 2015-02-30."""
+def _utc_from_shaped(raw: str, line_no: int | None) -> datetime:
+    """The instant of a timestamp already in _TIMESTAMP_SHAPE. Raises
+    ParseError for an impossible date such as 2015-02-30."""
     try:
         return _fromisoformat(raw)
     except ValueError:
-        return None
+        raise _timestamp_error(raw, line_no) from None
 
 
 def _timestamp_error(raw: object, line_no: int | None) -> ParseError:
@@ -211,9 +209,7 @@ def parse_tweet_line(
     if not record_id or record_id.isspace():
         raise ParseError("empty id", line_no)
     if canonical:  # parse_timestamp, less the shape check _CANONICAL_LINE made
-        timestamp = _utc_from_shaped(raw_timestamp)
-        if timestamp is None:
-            raise _timestamp_error(raw_timestamp, line_no)
+        timestamp = _utc_from_shaped(raw_timestamp, line_no)
     else:
         timestamp = parse_timestamp(raw_timestamp, line_no)
     if not text or text.isspace():

@@ -59,20 +59,17 @@ def to_null_device(fd: int) -> None:
             os.close(null)
 
 
-# each character at which str.splitlines breaks a line -> its Python escape
-_LINE_BREAKS = {ord(char): char.encode("unicode_escape").decode("ascii")
-                for char in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-
-
 def diagnose(level: str, message: str) -> None:
     """One diagnostic line, ``INFO``, ``WARNING`` or ``ERROR`` and then
-    ``message``, on ``sys.stderr`` as it is now. A line break in ``message``
-    (input text can hold one) is written as its escape, so the diagnostic
-    stays one line. A diagnostic never changes how a run ends: with no
-    standard error, or when the write fails, the line is dropped and fd 2 is
-    pointed at the null device."""
+    ``message``, on ``sys.stderr`` as it is now. Each character of
+    ``message`` that is not printable (input text can hold a line break, an
+    ESC or a byte-order mark) is written as its Python escape, so the
+    diagnostic stays one line and moves no terminal cursor. A diagnostic never
+    changes how a run ends: with no standard error, or when the write fails,
+    the line is dropped and fd 2 is pointed at the null device."""
     if not message.isprintable():
-        message = message.translate(_LINE_BREAKS)
+        message = "".join(char if char.isprintable() else char.encode("unicode_escape").decode()
+                          for char in message)
     stream = sys.stderr
     if stream is not None:
         try:

@@ -1,9 +1,9 @@
 """Diagnostics: the exact lines a run writes to standard error, and a run
 whose standard error cannot be written.
 
-Each diagnostic is one ``INFO|WARNING|ERROR message`` line, whatever line
-breaks the message holds. A failed write of one is dropped and never changes
-the exit code.
+Each diagnostic is one ``INFO|WARNING|ERROR message`` line of printable
+characters, whatever line breaks or control characters the message holds. A
+failed write of one is dropped and never changes the exit code.
 """
 import io
 import os
@@ -108,11 +108,12 @@ def test_pipeline_writes_exactly_these_diagnostics(work, tmp_path, child_env, fl
 
 @given(message=st.text())
 @example(message="a\r\nb\vc\fd\x1ce\x1df\x1eg\x85h\u2028i\u2029j\\n")
+@example(message="\x1b[2K\ufeff")
 def test_a_diagnostic_is_one_line_and_a_printable_message_keeps_its_text(message):
     with redirect_stderr(io.StringIO()) as stream:
         diagnose("WARNING", message)
     line = stream.getvalue()
-    assert line.endswith("\n") and len(line.splitlines()) == 1
+    assert line.endswith("\n") and len(line.splitlines()) == 1 and line[:-1].isprintable()
     if message.isprintable():
         assert line == f"WARNING {message}\n"
 

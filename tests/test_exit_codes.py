@@ -1,14 +1,20 @@
 """The README's exit-code table: one row per fault, one driver.
 
 A row holds the files to write into an empty directory (bytes, or a function
-of the shared trained model's bytes), the arguments with ``{tmp}`` for that
-directory, the exit code and the whole of standard error. The driver runs
-``cli.main`` and also asserts that the run wrote nothing: no standard output,
-and no output directory, model or temporary file beside the row's files.
+of the shared trained model's bytes; a name such as ``o/x.jsonl`` is written
+into a subdirectory the driver makes), the arguments as one string that
+``shlex.split`` splits, so ``''`` is an empty argument, with ``{tmp}`` for
+that directory, the exit code and the whole of standard error. The driver
+runs ``cli.main`` and also asserts that the run wrote nothing: no standard
+output, no path in the directory but the row's files and their
+subdirectories (no output directory, model or temporary file), and each file
+still holding the bytes the row wrote.
 """
 import json
 import math
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +43,7 @@ def _model_with(*path, edit):
 
 RECORD = b'{"id":"a","timestamp":"2015-09-05T00:00:00Z","text":"salmonella"}\n'
 STREAM = {"s.jsonl": RECORD}
+MODEL = {"m.json": lambda model: model}
 UNDECODABLE = b'{"id":"b","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \xff"}\n'
 LONE_SURROGATE = b'{"id":"b","timestamp":"2015-09-05T00:00:00Z","text":"salmonella \\ud83d"}\n'
 # nested past the recursion limit, where json.loads raises RecursionError
@@ -46,11 +53,20 @@ LONG_INTEGER = b"1" * (sys.get_int_max_str_digits() + 1)
 TOO_LONG = f"integer of more than {sys.get_int_max_str_digits()} digits"
 LABELED = _file(*labeled_lines(2, 2))
 TIMELINE = b"date,kind,new_ill,cumulative_ill,states,note\n"
+HEADER_FAULT = "timeline header must be date,kind,new_ill,cumulative_ill,states,note, got "
+# csv's default field limit is 131,072 characters
+LONG_CELL = (TIMELINE + b"2015-09-04,announcement,,285,27,\n"
+             b"2015-09-09,announcement,56,341,30," + b"x" * 131_073 + b"\n")
+# Dates that are no day in YYYY-MM-DD form, most of them shapes that Python
+# 3.11's date.fromisoformat takes.
+NOT_YYYY_MM_DD = ["20150909", "2015-W37-4", "2015-252", "2015-09-09T00:00",
+                  "２０１５-09-09", "2015-9-9", "2015-02-30", ""]
 
 FILTER = "filter --input {tmp}/s.jsonl --output {tmp}/o"
 TRAIN = "train --labeled {tmp}/l.jsonl --model {tmp}/m.json"
 CLASSIFY = "classify --input {tmp}/s.jsonl --model {tmp}/m.json --output {tmp}/o"
 REPORT = "report --input {tmp}/s.jsonl --output {tmp}/o"
+PIPELINE = "pipeline --input {tmp}/s.jsonl --model {tmp}/m.json --output {tmp}/o"
 
 BAD_ARGUMENTS = "ERROR bad arguments: "
 PARSE_FAILURE = "ERROR parse failure: "
@@ -71,9 +87,36 @@ def _classify(model, message):
     return {**STREAM, "m.json": model}, CLASSIFY, EXIT_MODEL, f"ERROR model failure: {message}\n"
 
 
-def _report(timeline, message):
-    return ({**STREAM, "t.csv": timeline}, REPORT + " --timeline {tmp}/t.csv", EXIT_TIMELINE,
+def _report(timeline, message, files=STREAM, argv=REPORT):
+    return ({**files, "t.csv": timeline}, argv + " --timeline {tmp}/t.csv", EXIT_TIMELINE,
             f"ERROR timeline failure: {message}\n")
+
+
+def _not_a_date(raw):
+    if raw == "2015-02-30":
+        return "day is out of range for month"
+    return f"date {raw!r} is not in YYYY-MM-DD form"
+
+
+# (command, the required file it leaves unset, the arguments that set its others)
+UNSET_FILE_RUNS = [
+    ("filter", "input", ""), ("report", "input", ""),
+    # train writes its model, so here that goes under the output directory
+    ("train", "labeled", " --model {tmp}/o/m.json"), ("train", "model", " --labeled {tmp}/l.jsonl"),
+    ("classify", "input", " --model {tmp}/m.json"), ("classify", "model", " --input {tmp}/s.jsonl"),
+    ("pipeline", "input", " --model {tmp}/m.json"), ("pipeline", "model", " --input {tmp}/s.jsonl"),
+]
+# command -> (the output o/<name> that its --config names, its settings, more arguments)
+CONFIG_OUTPUT_RUNS = {
+    "filter": ("filtered.jsonl", b"input = s.jsonl\n", ""),
+    "train": ("m.conf", b"labeled = l.jsonl\n", " --model {tmp}/o/m.conf"),
+    "classify": ("relevant.jsonl", b"input = s.jsonl\nmodel = m.json\n", ""),
+    "report": ("daily_counts.csv", b"input = s.jsonl\n", ""),
+    "pipeline": ("manifest.json", b"input = s.jsonl\nmodel = m.json\n", ""),
+}
+# a file setting -> a command that takes it
+FILE_SETTINGS = {"input": "filter", "keywords": "filter", "labeled": "train", "model": "train",
+                 "timeline": "report", "output": "filter"}
 
 
 # row id -> (files, arguments, exit code, standard error)
@@ -117,17 +160,43 @@ ROWS = {
                       BAD_ARGUMENTS + "unrecognized arguments: --out {tmp}/o\n"),
     "quiet-prefix": (STREAM, FILTER + " --q", EXIT_IO,
                      BAD_ARGUMENTS + "unrecognized arguments: --q\n"),
-    "strict-prefix": ({**STREAM, "m.json": lambda model: model},
-                      "pipeline --input {tmp}/s.jsonl --model {tmp}/m.json --output {tmp}/o --str",
-                      EXIT_IO, BAD_ARGUMENTS + "unrecognized arguments: --str\n"),
+    "strict-prefix": ({**STREAM, **MODEL}, PIPELINE + " --str", EXIT_IO,
+                      BAD_ARGUMENTS + "unrecognized arguments: --str\n"),
     "daily-start-prefix": (STREAM, REPORT + " --daily-s 2015-09-01", EXIT_IO,
                            BAD_ARGUMENTS + "unrecognized arguments: --daily-s 2015-09-01\n"),
     "daily-start-not-yyyy-mm-dd": (
         STREAM, REPORT + " --daily-start 20150909", EXIT_IO,
         BAD_ARGUMENTS + "argument --daily-start: date '20150909' is not in YYYY-MM-DD form\n"),
-    "keywords-without-print-builtin": ({}, "keywords", EXIT_IO,
-                                       BAD_ARGUMENTS + "keywords: nothing to do "
-                                                       "(use --print-builtin)\n"),
+    # the flag and the config file both name the fault, not argparse's
+    # "invalid parse_date value"; the first date is the row above
+    **{f"daily-start-{raw or 'empty'}": (
+        {}, f"report --daily-start '{raw}'", EXIT_IO,
+        f"{BAD_ARGUMENTS}argument --daily-start: {_not_a_date(raw)}\n")
+       for raw in NOT_YYYY_MM_DD[1:]},
+    **{f"daily-end-{raw or 'empty'}": _config("report", f"daily_end = {raw}\n".encode(),
+                                              f"1: bad value for daily_end: {_not_a_date(raw)}")
+       for raw in NOT_YYYY_MM_DD},
+    # Path("") is ".": read as a path, an empty value named the working directory
+    **{f"{key}-path-empty": ({}, f"{command} --{key} ''", EXIT_IO,
+                             f"{BAD_ARGUMENTS}argument --{key}: empty path\n")
+       for key, command in FILE_SETTINGS.items()},
+    **{f"config-{key}-path-empty": _config(command, f"# settings\n{key} =\n".encode(),
+                                           f"2: bad value for {key}: empty path")
+       for key, command in FILE_SETTINGS.items()},
+    # each file a command needs is set before the output directory is made
+    **{f"{command}-{key}-unset": ({**STREAM, "l.jsonl": LABELED, **MODEL},
+                                  f"{command}{others} --output {{tmp}}/o", EXIT_IO,
+                                  f"ERROR no {key} file configured\n")
+       for command, key, others in UNSET_FILE_RUNS},
+    **{f"{command}-output-replaces-config": (
+        {f"o/{name}": settings}, f"{command} --config {{tmp}}/o/{name}{more} --output {{tmp}}/o",
+        EXIT_IO, f"{BAD_ARGUMENTS}output {{tmp}}/o/{name} would replace input file "
+                 f"{{tmp}}/o/{name}\n")
+       for command, (name, settings, more) in CONFIG_OUTPUT_RUNS.items()},
+    **{f"{command}-without-print-builtin": ({}, command, EXIT_IO,
+                                            f"{BAD_ARGUMENTS}{command}: nothing to do "
+                                            "(use --print-builtin)\n")
+       for command in ("keywords", "timeline")},
     # 3: parse failure
     "strict-malformed-line": _strict(b"{broken\n", "invalid JSON (Expecting property name "
                                                     "enclosed in double quotes at column 2)"),
@@ -140,6 +209,11 @@ ROWS = {
     "strict-field-name-with-line-break": _strict(
         b'{"id":"1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella",'
         b'"a\\nWARNING forged":1}\n', "unknown fields: a\\nWARNING forged"),
+    # and so is any other character that is not printable, as an ESC
+    "strict-field-name-with-escape-sequence": _strict(
+        b'{"id":"1","timestamp":"2015-09-04T12:00:00Z","text":"salmonella",'
+        b'"a\\u001b[1A\\u001b[2KINFO all fine":1}\n',
+        "unknown fields: a\\x1b[1A\\x1b[2KINFO all fine"),
     "keywords-only-comments": ({**STREAM, "k.txt": b"# only comments\n"},
                                FILTER + " --keywords {tmp}/k.txt", EXIT_PARSE,
                                PARSE_FAILURE + "keyword file contains no phrases\n"),
@@ -202,14 +276,15 @@ ROWS = {
         "document frequency 81 out of range for term 'salmonella'"),
     # 6: timeline malformed or failed validation
     "timeline-empty": _report(b"", "timeline file is empty"),
-    "timeline-no-header": _report(
-        b"2015-09-04,announcement,,,,\n",
-        "timeline header must be date,kind,new_ill,cumulative_ill,states,note, "
-        "got 2015-09-04,announcement,,,,"),
+    "timeline-no-header": _report(b"2015-09-04,announcement,,,,\n",
+                                  HEADER_FAULT + "2015-09-04,announcement,,,,"),
     "timeline-header-with-line-break": _report(
         TIMELINE.replace(b"note", b'"note\nWARNING forged"'),
-        "timeline header must be date,kind,new_ill,cumulative_ill,states,note, "
-        "got date,kind,new_ill,cumulative_ill,states,note\\nWARNING forged"),
+        HEADER_FAULT + "date,kind,new_ill,cumulative_ill,states,note\\nWARNING forged"),
+    # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+    "timeline-header-with-bom": _report(
+        b"\xef\xbb\xbf" + TIMELINE,
+        HEADER_FAULT + "\\ufeffdate,kind,new_ill,cumulative_ill,states,note"),
     "timeline-undecodable-header": _report(TIMELINE.replace(b"note", b"note\xff"),
                                            "row 1: invalid UTF-8"),
     "timeline-undecodable-byte": _report(
@@ -220,6 +295,17 @@ ROWS = {
     "timeline-bad-date": _report(TIMELINE + b"soon,announcement,,,,\n", "row 2: bad date 'soon'"),
     "timeline-bad-kind": _report(TIMELINE + b"2015-09-04,party,,,,\n",
                                  "row 2: unknown event kind 'party'"),
+    **{f"timeline-date-{raw}": _report(TIMELINE + f"{raw},announcement,,7,,\n".encode(),
+                                       f"row 2: bad date {raw!r}")
+       for raw in NOT_YYYY_MM_DD if raw},
+    # a count is ASCII digits only
+    **{f"timeline-count-{cell}": _report(
+        TIMELINE + f"2015-09-04,announcement,,{cell},,\n".encode(), f"row 2: bad count {cell!r}")
+       for cell in ("7_7", "٣", "+7", "-7", "7.0", "0x7")},
+    **{f"{command}-timeline-cell-past-field-limit": _report(
+        LONG_CELL, "row 3: field larger than field limit (131072)", files, argv)
+       for command, files, argv in (("report", STREAM, REPORT),
+                                    ("pipeline", {**STREAM, **MODEL}, PIPELINE))},
     "timeline-no-events": _report(TIMELINE, INVALID + "timeline has no events"),
     "timeline-no-announcement": _report(TIMELINE + b"2015-07-03,illness_onset,,,,\n",
                                         INVALID + "timeline has no announcement events"),
@@ -249,9 +335,14 @@ ROWS = {
 @pytest.mark.parametrize("files, argv, code, stderr", ROWS.values(), ids=ROWS.keys())
 def test_exit_code_and_whole_stderr(tmp_path, trained_model, capsys, files, argv, code, stderr):
     model = trained_model.read_bytes()
-    for name, content in files.items():
-        (tmp_path / name).write_bytes(content(model) if callable(content) else content)
-    exit_code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv.split()])
+    written = {name: content(model) if callable(content) else content
+               for name, content in files.items()}
+    for name, content in written.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(content)
+    exit_code = main([arg.replace("{tmp}", str(tmp_path)) for arg in shlex.split(argv)])
     out, err = capsys.readouterr()
     assert (exit_code, out, err.replace(str(tmp_path), "{tmp}")) == (code, "", stderr)
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+    assert {path.relative_to(tmp_path) for path in tmp_path.rglob("*")} == {
+        path for name in files for path in (Path(name), *Path(name).parents[:-1])}
+    assert {name: (tmp_path / name).read_bytes() for name in files} == written

@@ -1,6 +1,6 @@
 """Every name a package or test module imports at its top level is used
-there, and every top-level helper of a test module is used somewhere in the
-tests or the benchmark, and no package module exits outside its main
+there, and every top-level helper or table of a test module is used somewhere
+in the tests or the benchmark, and no package module exits outside its main
 block. No linter runs on this project, so these tests are the check."""
 import ast
 from pathlib import Path
@@ -31,19 +31,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def helpers(tree: ast.Module) -> list[str]:
+    """The names a module defines at its top level, less its tests: each
+    function, and each name an assignment binds."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_"):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return names
+
+
 def test_every_test_helper_is_referenced():
-    # a reference is a name, an attribute or a parameter, which is how a
-    # test asks for a fixture
+    # a reference is a name read, an attribute or a parameter, which is how
+    # a test asks for a fixture
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted([*TESTS.glob("*.py"), *BENCH.glob("*.py")])}
     referenced = {node.id if isinstance(node, ast.Name) else
                   node.attr if isinstance(node, ast.Attribute) else node.arg
                   for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, (ast.Name, ast.Attribute, ast.arg))}
-    unreferenced = [f"{path.name}::{node.name}" for path, tree in trees.items()
-                    if path.parent == TESTS for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_")
-                    and node.name not in referenced]
+                  if isinstance(node, (ast.Attribute, ast.arg))
+                  or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    unreferenced = [f"{path.name}::{name}" for path, tree in trees.items()
+                    if path.parent == TESTS for name in helpers(tree) if name not in referenced]
     assert unreferenced == []
 
 
