@@ -606,6 +606,12 @@ class TestBuiltinPrinters:
         parsed = parse_timeline_file(stdout.splitlines())
         assert parsed == builtin_cdc_timeline()
 
+    @pytest.mark.parametrize("command", ["timeline", "keywords"])
+    def test_without_print_builtin_exits_2(self, capsys, command):
+        assert main([command]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "", f"ERROR bad arguments: {command}: nothing to do (use --print-builtin)\n")
+
     def test_keywords_print_builtin(self, capsys):
         assert main(["keywords", "--print-builtin"]) == EXIT_OK
         stdout = capsys.readouterr().out

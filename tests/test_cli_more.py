@@ -33,7 +33,7 @@ from outbreakmon.cli import (
     main,
 )
 
-from outbreakmon.corpus import load_labeled_set
+from outbreakmon.corpus import load_labeled_set, parse_date
 from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
 
 from synthdata import RELEVANT_TEMPLATES, labeled_lines, record_line, stream_lines
@@ -360,6 +360,23 @@ def test_record_on_the_last_representable_day_is_reported(tmp_path, trained_mode
         assert main([command, "--input", str(stream), "--output", str(out), "--quiet",
                      *extra]) == EXIT_OK
         assert (out / DAILY_CSV_NAME).read_text() == "date,count\n9999-12-31,1\n"
+
+
+# The exit-code table pins each date shape's diagnostic as text; this checks,
+# for one shape, that both routes report parse_date's own reason.
+@pytest.mark.parametrize("raw", ["20150909"])
+def test_date_settings_take_only_yyyy_mm_dd(tmp_path, capsys, raw):
+    with pytest.raises(ValueError) as excinfo:
+        parse_date(raw)
+    reason = str(excinfo.value)
+    assert main(["report", "--daily-start", raw]) == EXIT_IO
+    assert capsys.readouterr() == (
+        "", f"ERROR bad arguments: argument --daily-start: {reason}\n")
+    config = tmp_path / "run.conf"
+    config.write_text(f"daily_end = {raw}\n", encoding="utf-8")
+    assert main(["report", "--config", str(config), "--quiet"]) == EXIT_IO
+    assert capsys.readouterr() == (
+        "", f"ERROR bad arguments: {config}:1: bad value for daily_end: {reason}\n")
 
 
 def _subparsers():
