@@ -234,9 +234,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _open_records(path: Path):
     """Open a record, keyword, timeline or config file for line-by-line parsing;
-    undecodable bytes reach the parser as lone surrogates, which it rejects
-    naming the line or row."""
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    one leading byte-order mark is skipped, and undecodable bytes reach the
+    parser as lone surrogates, which it rejects naming the line or row."""
+    return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _refuse_to_replace(inputs, outputs) -> None:

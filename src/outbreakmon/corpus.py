@@ -41,13 +41,18 @@ VALID_LABELS = (-1, 1)
 class TweetRecord(Value):
     """One text item from the raw stream, timestamped in aware UTC."""
 
-    # source_line: the input line, "\n" included, when parse_tweet_line found
-    # it already in to_line's shape; None for a record built any other way
+    # source_line: the input line, "\n" included, that parse_tweet_line found
+    # already in to_line's shape and passes as the source_line parameter;
+    # None for a record built any other way
     __slots__ = ("id", "timestamp", "text", "source_line")
     _fields = ("id", "timestamp", "text")
 
-    def __init__(self, id: str, timestamp: datetime, text: str):
-        self._set_slots(id, timestamp, text, None)
+    def __init__(self, id: str, timestamp: datetime, text: str,
+                 source_line: str | None = None):
+        _set_id(self, id)
+        _set_timestamp(self, timestamp)
+        _set_text(self, text)
+        _set_source_line(self, source_line)
 
     def to_line(self) -> str:
         """Serialize back to the one-record-per-line input format.
@@ -66,8 +71,9 @@ class TweetRecord(Value):
         return self.source_line or self.to_line() + "\n"
 
 
-# The setter of each slot. parse_tweet_line builds one record per input line,
-# and calling a slot's setter skips the lookup object.__setattr__ makes.
+# The setter of each slot, which __init__ calls. parse_tweet_line builds one
+# record per input line, and a slot's setter skips the lookup that
+# object.__setattr__ makes.
 _set_id, _set_timestamp, _set_text, _set_source_line = (
     getattr(TweetRecord, name).__set__ for name in TweetRecord.__slots__)
 
@@ -219,12 +225,7 @@ def parse_tweet_line(
             if not _is_unicode(value):
                 raise ParseError(f"field {field!r} holds a lone surrogate", line_no)
 
-    record = object.__new__(TweetRecord)  # TweetRecord() would cost an __init__ frame
-    _set_id(record, record_id)
-    _set_timestamp(record, timestamp)
-    _set_text(record, text)
-    _set_source_line(record, source_line)
-    return record
+    return TweetRecord(record_id, timestamp, text, source_line)
 
 
 class RecordStream:

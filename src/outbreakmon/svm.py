@@ -297,7 +297,9 @@ def load_model(source: str | Path) -> SvmModel:
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"model file is not valid UTF-8 (byte {exc.start})") from None
     try:
-        payload = json.loads(raw, parse_constant=_reject_constant)
+        # one leading byte-order mark is skipped, as in every input file;
+        # decoding with utf-8-sig would count the byte above from after it
+        payload = json.loads(raw.removeprefix("\ufeff"), parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         raise ModelFileError(f"corrupt model file: {json_fault(exc, lines=True)}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:

@@ -67,27 +67,15 @@ class Vocabulary(Value):
 
 
 class SparseVector(Value):
-    """Index-sorted, zero-free (index, value) entries of a tweet vector."""
+    """Index-sorted, zero-free (index, value) entries of a tweet vector.
+
+    ``vectorize`` builds the entries sorted by strictly increasing index and
+    free of zeros; the constructor does not check them."""
 
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, float], ...] = ()):
-        prev = -1
-        for index, value in entries:
-            if index <= prev:
-                raise ValueError("entries must have strictly increasing indices")
-            if value == 0.0:
-                raise ValueError("zero values must not be stored")
-            prev = index
-        self._set_slots(entries)
-
-    @classmethod
-    def _unchecked(cls, entries: tuple[tuple[int, float], ...]) -> SparseVector:
-        """A vector from entries already sorted and zero-free (``vectorize``
-        builds them so); skips the checks of the public constructor."""
-        vector = object.__new__(cls)
-        _set_entries(vector, entries)
-        return vector
+        _set_entries(self, entries)
 
     def dot(self, dense: Sequence[float]) -> float:
         """The products summed left to right in index order. An explicit loop,
@@ -166,7 +154,7 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
     index_idf = model.vocabulary.index_idf
     if len(set(runs)) == len(runs):
         # No token repeats, so tf = 0.5 + 0.5 * 1 / 1 = 1.0 for every term.
-        return SparseVector._unchecked(tuple(sorted(filter(None, map(index_idf.get, runs)))))
+        return SparseVector(tuple(sorted(filter(None, map(index_idf.get, runs)))))
     counts: dict[str, int] = {}
     for token in filterfalse(str.isdigit, runs):
         counts[token] = counts.get(token, 0) + 1
@@ -178,4 +166,4 @@ def vectorize(model: TfIdfModel, text: str) -> SparseVector:
             index, idf = known
             entries.append((index, (0.5 + 0.5 * occurrences / max_f) * idf))
     entries.sort()
-    return SparseVector._unchecked(tuple(entries))
+    return SparseVector(tuple(entries))

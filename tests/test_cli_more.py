@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tomllib
@@ -35,6 +37,7 @@ from outbreakmon.cli import (
 
 from outbreakmon.corpus import load_labeled_set, parse_date
 from outbreakmon.svm import TrainingConfig, load_model, train_from_labeled
+from outbreakmon.timeline import BUILTIN_CDC_TIMELINE_CSV
 
 from synthdata import RELEVANT_TEMPLATES, labeled_lines, record_line, stream_lines
 
@@ -519,3 +522,39 @@ def test_pipeline_hashes_standard_input_redirected_from_a_file(tmp_path, trained
     manifest = json.loads((tmp_path / "out" / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert manifest["inputs"]["input"] == hashlib.sha256(stream.read_bytes()).hexdigest()
     assert manifest["stages"]["filter"]["input_records"] == 1
+
+
+BYTE_ORDER_MARK = b"\xef\xbb\xbf"
+# Each input file and a command that reads it, with the other inputs it needs.
+MARKED_INPUTS = {
+    "records-lenient": ("s.jsonl", "filter --input {tmp}/s.jsonl --output {tmp}/o"),
+    "records-strict": ("s.jsonl", "filter --input {tmp}/s.jsonl --strict --output {tmp}/o"),
+    "labeled": ("l.jsonl", "train --labeled {tmp}/l.jsonl --model {tmp}/o/m.json"),
+    "model": ("m.json", "classify --input {tmp}/s.jsonl --model {tmp}/m.json --output {tmp}/o"),
+    "keywords": ("k.txt", "filter --input {tmp}/s.jsonl --keywords {tmp}/k.txt --output {tmp}/o"),
+    "config": ("c.conf", "filter --config {tmp}/c.conf --output {tmp}/o"),
+    "timeline": ("t.csv", "report --input {tmp}/s.jsonl --timeline {tmp}/t.csv --output {tmp}/o"),
+}
+
+
+# Excel's "CSV UTF-8" and Notepad start a file with the mark.
+@pytest.mark.parametrize("marked, argv", MARKED_INPUTS.values(), ids=MARKED_INPUTS)
+def test_one_leading_byte_order_mark_is_ignored_in_every_input(
+        tmp_path, trained_model, capsys, marked, argv):
+    files = {"s.jsonl": "".join(line + "\n" for line in stream_lines(40)),
+             "l.jsonl": "".join(line + "\n" for line in labeled_lines(20, 20)),
+             "m.json": trained_model.read_text(encoding="utf-8"),
+             "k.txt": "salmonella\n# a comment\ncucumbers\n",
+             "c.conf": f"input = {tmp_path / 's.jsonl'}\n",
+             "t.csv": BUILTIN_CDC_TIMELINE_CSV}
+    runs = []
+    for mark in (b"", BYTE_ORDER_MARK):
+        for name, text in files.items():
+            (tmp_path / name).write_bytes((mark if name == marked else b"") + text.encode())
+        shutil.rmtree(tmp_path / "o", ignore_errors=True)
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in shlex.split(argv)])
+        out, err = capsys.readouterr()
+        runs.append((code, out, err, {path.name: path.read_bytes()
+                                      for path in sorted((tmp_path / "o").iterdir())}))
+    assert runs[0][0] == EXIT_OK
+    assert runs[1] == runs[0]

@@ -1,7 +1,8 @@
 """Every name a package or test module imports at its top level is used
 there, and every top-level helper or table of a test module is used somewhere
-in the tests or the benchmark, and no package module exits outside its main
-block. No linter runs on this project, so these tests are the check."""
+in the tests or the benchmark, no package module exits outside its main
+block, and none calls ``object.__new__``. No linter runs on this project, so
+these tests are the check."""
 import ast
 from pathlib import Path
 
@@ -84,4 +85,18 @@ def test_only_the_main_block_exits():
     # past its handlers, or end a caller that imported the package
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
              if (lines := exits_outside_the_main_block(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def object_new_calls(source: str) -> list[int]:
+    """The lines that call ``object.__new__``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"]
+
+
+def test_no_module_builds_an_instance_past_its_constructor():
+    # each type's __init__ is its one constructor, so the checks and slot
+    # writes it makes cannot be skipped
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := object_new_calls(path.read_text(encoding="utf-8")))}
     assert found == {}
