@@ -85,9 +85,9 @@ SCORE_MEMO_LIMIT = 2**16
 # The signals that stop a run; see main.
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
 
-# False only while main runs a command given --quiet, which drops INFO
-# diagnostics.
-_show_info = True
+# quiet is True while main runs, in this thread, a command given --quiet,
+# which drops that command's INFO diagnostics.
+_call = threading.local()
 
 
 # the solver's defaults, which the settings below default to
@@ -472,8 +472,8 @@ def _write_stdout(text: str) -> None:
 
 
 def _info(message: str) -> None:
-    """An INFO diagnostic, unless main was given --quiet."""
-    if _show_info:
+    """An INFO diagnostic, unless this thread's main call has --quiet."""
+    if not getattr(_call, "quiet", False):
         diagnose("INFO", message)
 
 
@@ -517,11 +517,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    global _show_info
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _show_info = not getattr(args, "quiet", False)
+        _call.quiet = getattr(args, "quiet", False)
         if args.command in BUILTINS:
             if not args.print_builtin:
                 raise ValueError(f"{args.command}: nothing to do (use --print-builtin)")
@@ -576,7 +575,7 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:  # --help or --version, once its text is written
         return exc.code
     finally:
-        _show_info = True
+        _call.quiet = False
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from contextlib import contextmanager, suppress
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring
@@ -314,12 +313,13 @@ def open_text_atomic(path: str | Path) -> Iterator[TextIO]:
     block ends without an error, so readers see the old file or the new one,
     never a part.
 
-    The text goes to a fresh temporary file ``<name>.<random>.tmp`` in the
-    same directory, which is fsynced and then renamed over ``path``. On any
-    error, in the block or in the write, the temporary file is removed,
-    ``path`` is left as it was, and so are the directories above it: any
-    that this call created are removed again. The new file gets the mode a
-    plain ``open`` would give it under the current umask.
+    The text goes to a file ``<name>.<random>.tmp`` (16 hex digits) in the
+    same directory, created by one exclusive open with the umask's mode, so
+    the process umask is never changed; a taken name raises
+    ``FileExistsError`` and touches no file. The file is fsynced, then
+    renamed over ``path``. On any error, in the block or in the write, the
+    temporary file is removed, ``path`` is left as it was, and so are the
+    directories above it: any that this call created are removed again.
     """
     path = Path(path)
     created = []  # deepest first
@@ -330,14 +330,13 @@ def open_text_atomic(path: str | Path) -> Iterator[TextIO]:
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # only now is it this call's to remove
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if tmp is not None:

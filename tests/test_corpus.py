@@ -489,17 +489,48 @@ def test_corpus_iteration_matches_records():
     assert len(corpus) == 4
 
 
-def test_write_text_atomic_replaces_with_umask_mode_and_no_leftover(tmp_path):
+def test_write_text_atomic_replaces_with_umask_mode_and_no_leftover(tmp_path, monkeypatch):
+    # the writes neither change the process umask, which every thread shares,
+    # nor set a mode: the open that creates the file applies the umask
     path = tmp_path / "new" / "out.txt"
     old_umask = os.umask(0o027)
     try:
-        write_text_atomic(path, "first\n")
-        write_text_atomic(path, "second \u00e9\n")
+        with monkeypatch.context() as patched:
+            for name in ("umask", "chmod"):
+                patched.setattr(os, name, mock.Mock(side_effect=AssertionError(name)))
+            write_text_atomic(path, "first\n")
+            write_text_atomic(path, "second \u00e9\n")
     finally:
         os.umask(old_umask)
     assert path.read_bytes() == "second \u00e9\n".encode("utf-8")
     assert path.stat().st_mode & 0o777 == 0o640
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+def test_a_temporary_name_taken_fails_and_touches_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    taken = tmp_path / "out.txt.0000000000000000.tmp"
+    taken.write_text("another writer's\n", encoding="utf-8")
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    with pytest.raises(FileExistsError):
+        write_text_atomic(path, "new\n")
+    assert taken.read_text(encoding="utf-8") == "another writer's\n"
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", taken.name]
+
+
+def test_two_writers_to_one_path_never_share_a_temporary_file(tmp_path):
+    path = tmp_path / "out.txt"
+    with open_text_atomic(path) as outer:
+        outer.write("outer\n")
+        with open_text_atomic(path) as inner:
+            inner.write("inner\n")
+            names = [p.name for p in tmp_path.iterdir()]
+            assert len(names) == 2
+            assert all(re.fullmatch(r"out\.txt\.[0-9a-f]{16}\.tmp", name) for name in names)
+    assert path.read_text(encoding="utf-8") == "outer\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_open_text_atomic_error_leaves_files_and_directories_as_they_were(tmp_path):

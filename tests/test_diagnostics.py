@@ -3,13 +3,17 @@ whose standard error cannot be written.
 
 Each diagnostic is one ``INFO|WARNING|ERROR message`` line of printable
 characters, whatever line breaks or control characters the message holds. A
-failed write of one is dropped and never changes the exit code.
+failed write of one is dropped and never changes the exit code. ``--quiet``
+drops the ``INFO`` lines of its own call only.
 """
+import errno
 import io
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from contextlib import redirect_stderr
 from datetime import datetime, timezone
 
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from outbreakmon.cli import COMMANDS, EXIT_IO, EXIT_OK
+from outbreakmon.cli import COMMANDS, EXIT_IO, EXIT_OK, main
 from outbreakmon.errors import diagnose
 
 from synthdata import DECOY_TEMPLATES, NOISE_TEMPLATES, RELEVANT_TEMPLATES, record_line
@@ -104,6 +108,40 @@ def test_pipeline_writes_exactly_these_diagnostics(work, tmp_path, child_env, fl
     assert result.returncode == EXIT_OK
     stderr = result.stderr.decode("utf-8").replace(str(out), "OUT")
     assert stderr == "".join(line + "\n" for line in expected)
+
+
+def test_quiet_drops_the_info_lines_of_its_own_call_only(tmp_path, capsys):
+    # A --quiet filter in another thread waits on a FIFO while a plain filter
+    # runs to its end in this one.
+    good = b"".join(line + b"\n" for line in MIXED_LINES if line.startswith(b'{"id":"g'))
+    (tmp_path / "in.jsonl").write_bytes(good)
+    fifo = tmp_path / "fifo.jsonl"
+    os.mkfifo(fifo)
+    codes = []
+    quiet = threading.Thread(target=lambda: codes.append(main(
+        ["filter", "--input", str(fifo), "--output", str(tmp_path / "A"), "--quiet"])))
+    quiet.start()
+    deadline = time.monotonic() + 60
+    writer = None
+    try:
+        while writer is None:  # a non-blocking open fails until the quiet call opens the FIFO
+            assert quiet.is_alive() and time.monotonic() < deadline
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError as exc:
+                assert exc.errno == errno.ENXIO
+                time.sleep(0.01)
+        assert main(["filter", "--input", str(tmp_path / "in.jsonl"),
+                     "--output", str(tmp_path / "B")]) == EXIT_OK
+        os.write(writer, good)
+    finally:
+        if writer is not None:
+            os.close(writer)
+        quiet.join(timeout=60)
+    assert not quiet.is_alive()
+    assert codes == [EXIT_OK]
+    assert capsys.readouterr().err.replace(str(tmp_path), "T") == (
+        "INFO filter: 4 read (0 rejected lines), 3 kept, 1 dropped -> T/B/filtered.jsonl\n")
 
 
 @given(message=st.text())

@@ -1,8 +1,9 @@
 """Every name a package or test module imports at its top level is used
 there, and every top-level helper or table of a test module is used somewhere
 in the tests or the benchmark, no package module exits outside its main
-block, and none calls ``object.__new__``. No linter runs on this project, so
-these tests are the check."""
+block, none calls ``object.__new__``, and none changes a setting the whole
+process shares. No linter runs on this project, so these tests are the
+check."""
 import ast
 from pathlib import Path
 
@@ -99,4 +100,32 @@ def test_no_module_builds_an_instance_past_its_constructor():
     # writes it makes cannot be skipped
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
              if (lines := object_new_calls(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+# Calls that change a setting every thread of the process shares. signal.signal
+# is not here: main puts back each handler it sets, and test_signals pins that.
+PROCESS_WIDE_CALLS = frozenset({"os.umask", "os.chdir", "os.putenv", "os.unsetenv",
+                                "sys.setrecursionlimit", "sys.set_int_max_str_digits"})
+
+
+def process_wide_changes(source: str) -> list[int]:
+    """The lines that call one of PROCESS_WIDE_CALLS or assign to an item of
+    ``os.environ``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in PROCESS_WIDE_CALLS:
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [node.lineno for target in targets if isinstance(target, ast.Subscript)
+                      and ast.unparse(target.value) == "os.environ"]
+    return found
+
+
+def test_no_module_changes_a_setting_the_whole_process_shares():
+    # main may run in any thread, beside other calls (test_signals), so a
+    # setting it changed and put back would still reach every other thread
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := process_wide_changes(path.read_text(encoding="utf-8")))}
     assert found == {}
