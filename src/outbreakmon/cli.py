@@ -241,8 +241,11 @@ def _open_records(path: Path):
 
 def _refuse_to_replace(inputs, outputs) -> None:
     """No command modifies its input files: refuse (exit 2) an output path
-    that names the same file as an input, before anything is written."""
+    that names the same file as an input, or a directory, which no file
+    can replace, before anything is read or written."""
     for output in outputs:
+        if output.is_dir():
+            raise ValueError(f"output {output} is a directory")
         for path in inputs:
             if (path is not None and path.exists() and output.exists()
                     and os.path.samefile(path, output)):
@@ -528,8 +531,8 @@ def _run(argv: list[str] | None) -> int:
             return EXIT_OK
         cfg = build_config(args)
         # Check the command's files before any input loads: each it needs is
-        # set, no output replaces an input, the config file included, and
-        # none that pipeline hashes is a pipe.
+        # set, no output is a directory or replaces an input, the config file
+        # included, and none that pipeline hashes is a pipe.
         paths = {key: getattr(cfg, key) for key in _path_keys(args.command)}
         for key, path in paths.items():
             if path is None and key not in BUILTINS:

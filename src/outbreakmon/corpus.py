@@ -276,15 +276,16 @@ def load_corpus(lines: Iterable[str], *, strict: bool = False) -> Corpus:
 def load_labeled_set(lines: Iterable[str]) -> list[LabeledExample]:
     """Parse a labeled training file into examples.
 
-    Every line must parse and carry a valid label; the set is hand-curated,
-    so any malformed line aborts rather than being skipped. Raises
-    TrainingDataError if the input holds no examples at all.
+    The set is hand-curated, so it is read as a strict ``RecordStream``,
+    where any bad line aborts, and every line must also carry a valid label.
+    Raises TrainingDataError if the input holds no examples at all.
     """
+    lines = list(lines)
+    stream = RecordStream(lines, strict=True)  # one record per line, in order, or it raises
     examples: list[LabeledExample] = []
-    seen_ids: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        record = parse_tweet_line(line, line_no=line_no)
-        obj = json.loads(line)  # cannot fail: parse_tweet_line has decoded it
+    for line, record in zip(lines, stream):
+        line_no = stream.accepted  # every line so far is a record
+        obj = json.loads(line)  # cannot fail: the stream has decoded it
         if "label" not in obj:
             raise ParseError("missing field 'label'", line_no)
         label = obj["label"]
@@ -292,9 +293,6 @@ def load_labeled_set(lines: Iterable[str]) -> list[LabeledExample]:
             raise ParseError(f"label must be the integer -1 or 1, got {label!r}", line_no)
         if label not in VALID_LABELS:
             raise ParseError(f"label must be -1 or 1, got {label}", line_no)
-        if record.id in seen_ids:
-            raise ParseError(f"duplicate id {record.id!r}", line_no)
-        seen_ids.add(record.id)
         examples.append(LabeledExample(record=record, label=label))
     if not examples:
         raise TrainingDataError("labeled set is empty")

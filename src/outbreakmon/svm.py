@@ -111,7 +111,6 @@ def train(
     examples: Sequence[tuple[SparseVector, int]],
     config: TrainingConfig,
     *,
-    dim: int | None = None,
     vectorizer: TfIdfModel | None = None,
     trace_hook: TraceHook | None = None,
 ) -> SvmModel:
@@ -120,7 +119,8 @@ def train(
     Sweeps the examples in a seeded Fisher-Yates order each epoch, clamping
     each dual variable into [0, C]; stops when the projected-gradient gap over
     an epoch drops below ``config.tolerance`` or after ``config.max_epochs``.
-    ``dim`` fixes the feature dimension (defaults to 1 + highest index seen).
+    The feature dimension is the size of ``vectorizer``'s vocabulary when
+    one is given, else one more than the highest index seen.
     ``trace_hook(epoch, dual_variables, objective)`` is called after each
     epoch with a snapshot, for diagnostics and tests.
     """
@@ -139,9 +139,8 @@ def train(
                 raise ValueError(f"non-finite feature value {value!r} at index {index}")
         if vector.entries:
             max_index = max(max_index, vector.entries[-1][0])
-    if dim is None:
-        dim = max_index + 1
-    elif max_index >= dim:
+    dim = max_index + 1 if vectorizer is None else len(vectorizer.vocabulary)
+    if max_index >= dim:
         raise IndexError(f"feature index {max_index} out of range for dimension {dim}")
 
     n = len(examples)
@@ -215,7 +214,7 @@ def train_from_labeled(
     """Fit the tf-idf vectorizer on the labeled set, then train on it."""
     tfidf = fit_tfidf(ex.record.text for ex in examples)
     vectors = [(vectorize(tfidf, ex.record.text), ex.label) for ex in examples]
-    return train(vectors, config, dim=len(tfidf.vocabulary), vectorizer=tfidf)
+    return train(vectors, config, vectorizer=tfidf)
 
 
 def decision_value(model: SvmModel, vector: SparseVector) -> float:

@@ -193,6 +193,14 @@ ROWS = {
         EXIT_IO, f"{BAD_ARGUMENTS}output {{tmp}}/o/{name} would replace input file "
                  f"{{tmp}}/o/{name}\n")
        for command, (name, settings, more) in CONFIG_OUTPUT_RUNS.items()},
+    # an output path that is a directory, refused before any input loads
+    "model-is-a-directory": ({"l.jsonl": LABELED}, "train --labeled {tmp}/l.jsonl --model {tmp}",
+                             EXIT_IO, BAD_ARGUMENTS + "output {tmp} is a directory\n"),
+    "output-file-is-a-directory": ({**STREAM, "o/filtered.jsonl/x": b""}, FILTER, EXIT_IO,
+                                   BAD_ARGUMENTS + "output {tmp}/o/filtered.jsonl is a directory\n"),
+    "model-is-a-directory-and-labeled-malformed": (
+        {"l.jsonl": b"{broken\n", "m.json/x": b""}, TRAIN, EXIT_IO,
+        BAD_ARGUMENTS + "output {tmp}/m.json is a directory\n"),
     **{f"{command}-without-print-builtin": ({}, command, EXIT_IO,
                                             f"{BAD_ARGUMENTS}{command}: nothing to do "
                                             "(use --print-builtin)\n")
@@ -224,6 +232,14 @@ ROWS = {
                   PARSE_FAILURE + "line 1: label must be -1 or 1, got 2\n"),
     "labeled-repeated-id": ({"l.jsonl": LABELED + _file(labeled_lines(2, 2)[1])}, TRAIN,
                             EXIT_PARSE, PARSE_FAILURE + "line 5: duplicate id 'pos1'\n"),
+    # the labeled file is read under --strict's rules, which come before the label's
+    "labeled-unknown-field": (
+        {"l.jsonl": _file('{"id":"a","timestamp":"2015-09-05T00:00:00Z","text":"salmonella",'
+                          '"label":1,"note":"n"}')},
+        TRAIN, EXIT_PARSE, PARSE_FAILURE + "line 1: unknown fields: note\n"),
+    "labeled-repeated-id-and-label-two": (
+        {"l.jsonl": LABELED + _file(labeled_lines(2, 2)[1].replace('"label":1', '"label":2'))},
+        TRAIN, EXIT_PARSE, PARSE_FAILURE + "line 5: duplicate id 'pos1'\n"),
     "labeled-undecodable-byte": ({"l.jsonl": UNDECODABLE}, TRAIN, EXIT_PARSE,
                                  PARSE_FAILURE + "line 1: invalid UTF-8\n"),
     "labeled-nested-too-deep": ({"l.jsonl": NESTED_TOO_DEEP}, TRAIN, EXIT_PARSE,

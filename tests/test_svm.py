@@ -171,8 +171,26 @@ class TestTrain:
             train(bad, TIGHT)
 
     def test_index_beyond_dim_rejected(self):
+        # one vocabulary term gives dimension 1, where index 1 is the bias slot
+        vocab = Vocabulary(terms={"aa": 0}, doc_frequency={"aa": 1}, corpus_size=2)
         with pytest.raises(IndexError):
-            train(examples_of([[1.0, 2.0], [-1.0, 0.0]], [1, -1]), TIGHT, dim=1)
+            train(examples_of([[1.0, 2.0], [-1.0, 0.0]], [1, -1]), TIGHT,
+                  vectorizer=TfIdfModel(vocabulary=vocab))
+
+    def test_a_term_in_every_text_keeps_its_weight(self, tmp_path):
+        # "zz", the highest-indexed term, is in every text, so its idf is 0 and
+        # no vector has an entry at its index: only the vocabulary counts it
+        lines = [f'{{"id":"{i}","timestamp":"2015-09-05T00:00:00Z","text":"{text}","label":{y}}}'
+                 for i, (text, y) in enumerate([("aa bb zz", 1), ("aa zz", 1), ("bb zz", -1)])]
+        model = train_from_labeled(load_labeled_set(lines), TIGHT)
+        assert model.vectorizer.vocabulary.terms == {"aa": 0, "bb": 1, "zz": 2}
+        assert len(model.weights) == 3 and model.weights[2] == 0.0
+        saved, resaved = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, saved)
+        loaded = load_model(saved)
+        assert np.array_equal(loaded.weights, model.weights) and loaded.bias == model.bias
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == saved.read_bytes()
 
     def test_accepts_a_generator_of_examples(self):
         pairs = examples_of([[1.0], [-1.0]], [1, -1])
